@@ -331,26 +331,36 @@ Result<QueryResult> SimilarityEngine::Execute(const QuerySpec& spec,
     out.value = std::move(*result);
   }
 
+  StampTrace(&out, pin.version(),
+             checkpoint_epoch_.load(std::memory_order_relaxed), *planned, 0);
+  metrics.query_nanos->Observe(MonotonicNanos() - start);
+  return out;
+}
+
+void SimilarityEngine::StampTrace(QueryResult* out,
+                                  std::uint64_t snapshot_version,
+                                  std::uint64_t checkpoint_epoch,
+                                  const plan::Planned& planned,
+                                  std::size_t batch_size) {
   obs::QueryTrace& trace = std::visit(
       [](auto& result) -> obs::QueryTrace& { return result.trace; },
-      out.value);
-  trace.snapshot_version = pin.version();
-  trace.checkpoint_epoch = checkpoint_epoch_.load(std::memory_order_relaxed);
+      out->value);
+  trace.snapshot_version = snapshot_version;
+  trace.checkpoint_epoch = checkpoint_epoch;
   trace.kernel_isa = kernels::IsaName(kernels::ActiveIsa());
-  if (decision->trace.planned) {
-    trace.planner = decision->trace;
-    trace.planner.cache_hit = planned->cache_hit;
+  trace.batch_size = batch_size;
+  const plan::PlanDecision& decision = *planned.decision;
+  if (decision.trace.planned) {
+    trace.planner = decision.trace;
+    trace.planner.cache_hit = planned.cache_hit;
     // Actual cost in the estimate's own currency: measured disk accesses
     // plus weighted comparisons (what the planner's Eq. 18-20 pricing
     // predicts, with real counters substituted for the analytic terms).
-    const QueryStats& stats = out.stats();
+    const QueryStats& stats = out->stats();
     trace.planner.actual_cost =
-        decision->constants.c_da * static_cast<double>(stats.disk_accesses()) +
-        decision->constants.c_cmp * static_cast<double>(stats.comparisons);
+        decision.constants.c_da * static_cast<double>(stats.disk_accesses()) +
+        decision.constants.c_cmp * static_cast<double>(stats.comparisons);
   }
-
-  metrics.query_nanos->Observe(MonotonicNanos() - start);
-  return out;
 }
 
 void SimilarityEngine::ResetIoStats() {

@@ -19,6 +19,7 @@
 
 namespace tsq::plan {
 class Planner;
+struct Planned;
 }  // namespace tsq::plan
 
 namespace tsq::core {
@@ -162,9 +163,10 @@ class SimilarityEngine {
   ///    partition share a single index traversal per rectangle — the union
   ///    query region drives the descent and each visited entry is re-tested
   ///    against every member query's own epsilon band;
-  ///  * every candidate record fetch of the batch goes through a
-  ///    batch-scoped fetch table, so a page is read once however many
-  ///    queries (or rectangles) want it;
+  ///  * every candidate record is fetched once per batch however many
+  ///    queries (or rectangles) want it — the range entries run as one call
+  ///    of the range pipeline (RunRangeQueries), which Execute() runs with a
+  ///    single query;
   ///  * with `options.use_result_cache`, results are served from / published
   ///    to the engine's bounded LRU ResultCache, keyed on (canonical spec,
   ///    exec options, snapshot version, config epoch).
@@ -282,6 +284,13 @@ class SimilarityEngine {
 
  private:
   SimilarityEngine();  // for LoadFrom
+
+  /// Stamps what every executed result carries: the pinned snapshot, the
+  /// checkpoint epoch, the kernel ISA, the batch size (0 for Execute) and,
+  /// for planned queries, the planner decision with its actual cost.
+  static void StampTrace(QueryResult* out, std::uint64_t snapshot_version,
+                         std::uint64_t checkpoint_epoch,
+                         const plan::Planned& planned, std::size_t batch_size);
 
   std::unique_ptr<Dataset> dataset_;
   std::unique_ptr<SequenceIndex> index_;

@@ -96,25 +96,6 @@ double TransformedCorrelation(const transform::SpectralTransform& t,
          (static_cast<double>(n) * std::sqrt(sums.energy_x * sums.energy_y));
 }
 
-std::vector<JoinMatch> BruteForceJoinQuery(const Dataset& dataset,
-                                           const JoinQuerySpec& spec) {
-  std::vector<JoinMatch> matches;
-  for (std::size_t a = 0; a < dataset.size(); ++a) {
-    if (dataset.removed(a)) continue;
-    for (std::size_t b = a + 1; b < dataset.size(); ++b) {
-      if (dataset.removed(b)) continue;
-      for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
-        double value = 0.0;
-        if (EvaluatePair(spec, spec.transforms[t], dataset.spectrum(a),
-                         dataset.spectrum(b), &value)) {
-          matches.push_back(JoinMatch{a, b, t, value});
-        }
-      }
-    }
-  }
-  return matches;
-}
-
 Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const SequenceIndex& index,
                                      const JoinQuerySpec& spec,
@@ -122,7 +103,7 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const transform::Partition*
                                          partition_override) {
   const std::uint64_t query_start = MonotonicNanos();
-  TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options));
+  TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options.planner.algorithm));
   TSQ_RETURN_IF_ERROR(ValidateSpec(dataset, spec));
   const transform::FeatureLayout& layout = dataset.layout();
   JoinQueryResult result;

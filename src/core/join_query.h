@@ -78,10 +78,6 @@ Result<JoinQueryResult> RunJoinQuery(const Dataset& dataset,
                                      const JoinQuerySpec& spec,
                                      Algorithm algorithm);
 
-/// Reference evaluation over in-memory spectra (ground truth for tests).
-std::vector<JoinMatch> BruteForceJoinQuery(const Dataset& dataset,
-                                           const JoinQuerySpec& spec);
-
 /// Cross-correlation of the transformed versions of two normal-form
 /// spectra, computed in the frequency domain in O(n):
 /// both transformed sequences have zero mean (normal forms have X_0 = 0 and

@@ -65,12 +65,11 @@ Status ValidateSpec(const Dataset& dataset, const KnnQuerySpec& spec) {
 // is safe because the caller discards such candidates entirely.
 std::pair<double, std::size_t> BestTransform(
     const KnnQuerySpec& spec, std::span<const dft::Complex> candidate,
-    std::span<const dft::Complex> query, QueryStats* stats,
-    double bound = std::numeric_limits<double>::infinity()) {
+    std::span<const dft::Complex> query, QueryStats* stats, double bound) {
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_t = 0;
   for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
-    if (stats != nullptr) ++stats->comparisons;
+    ++stats->comparisons;
     const double limit = std::min(best, bound);
     const double d2 =
         spec.target == TransformTarget::kBoth
@@ -88,27 +87,6 @@ std::pair<double, std::size_t> BestTransform(
 
 }  // namespace
 
-std::vector<KnnMatch> BruteForceKnnQuery(const Dataset& dataset,
-                                         const KnnQuerySpec& spec) {
-  const ts::NormalForm query_normal = ts::Normalize(spec.query);
-  std::vector<dft::Complex> query_spectrum =
-      dataset.plan().Forward(query_normal.values);
-  if (spec.query_transform.has_value()) {
-    query_spectrum = spec.query_transform->ApplyToSpectrum(query_spectrum);
-  }
-  std::vector<KnnMatch> all;
-  all.reserve(dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    if (dataset.removed(i)) continue;
-    const auto [d2, t] =
-        BestTransform(spec, dataset.spectrum(i), query_spectrum, nullptr);
-    all.push_back(KnnMatch{i, t, std::sqrt(d2)});
-  }
-  std::sort(all.begin(), all.end(), KnnMatchOrder);
-  if (all.size() > spec.k) all.resize(spec.k);
-  return all;
-}
-
 Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                                    const SequenceIndex& index,
                                    const KnnQuerySpec& spec,
@@ -116,7 +94,7 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                                    const transform::Partition*
                                        partition_override) {
   const std::uint64_t query_start = MonotonicNanos();
-  TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options));
+  TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options.planner.algorithm));
   TSQ_RETURN_IF_ERROR(ValidateSpec(dataset, spec));
   const transform::FeatureLayout& layout = dataset.layout();
   const ts::NormalForm query_normal = ts::Normalize(spec.query);

@@ -65,10 +65,6 @@ Result<KnnQueryResult> RunKnnQuery(const Dataset& dataset,
                                    const KnnQuerySpec& spec,
                                    Algorithm algorithm);
 
-/// Reference evaluation (ground truth for tests). Ties broken by series id.
-std::vector<KnnMatch> BruteForceKnnQuery(const Dataset& dataset,
-                                         const KnnQuerySpec& spec);
-
 }  // namespace tsq::core
 
 #endif  // TSQ_CORE_KNN_QUERY_H_

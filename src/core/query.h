@@ -85,11 +85,10 @@ struct ExecOptions {
   bool collect_group_stats = false;
 };
 
-/// InvalidArgument when `options.planner.algorithm` is still kAuto — every
-/// raw executor (RunRangeQuery / RunKnnQuery / RunJoinQuery) calls this
-/// first; only SimilarityEngine::Execute resolves kAuto into a concrete
-/// plan.
-Status RejectUnresolvedAuto(const ExecOptions& options);
+/// InvalidArgument when `algorithm` is still kAuto — every raw executor
+/// (RunRangeQueries / RunKnnQuery / RunJoinQuery) calls this first; only
+/// SimilarityEngine resolves kAuto into a concrete plan.
+Status RejectUnresolvedAuto(Algorithm algorithm);
 
 /// Which side(s) of the distance predicate a transformation applies to.
 enum class TransformTarget {

@@ -1,19 +1,37 @@
 #include "core/range_query.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <unordered_map>
+#include <utility>
 
-#include "common/check.h"
 #include "common/clock.h"
-#include "obs/trace.h"
+#include "core/feature.h"
+#include "exec/batch_schedule.h"
 #include "exec/parallel.h"
+#include "plan/plan_cache.h"
 #include "transform/ordering.h"
 #include "transform/transform_mbr.h"
 #include "ts/normal_form.h"
 
 namespace tsq::core {
 
-namespace range_detail {
+namespace {
 
+// Task granularity. Part of the determinism contract only insofar as they
+// are constants: chunk boundaries, and hence the merge order, never depend
+// on num_threads or on the other queries of a call.
+constexpr std::size_t kScanChunk = 256;   // ids per scan slice
+constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
+
+/// Sorts the indices of one group into ascending dominance-chain order when
+/// the whole transformation set forms a chain; returns false when it does
+/// not (the caller falls back to the linear sweep).
 bool OrderGroupByChain(const std::vector<std::size_t>& chain,
                        std::vector<std::size_t>* group) {
   if (chain.empty()) return false;
@@ -24,16 +42,11 @@ bool OrderGroupByChain(const std::vector<std::size_t>& chain,
   return true;
 }
 
-double PredicateDistance2(const RangeQuerySpec& spec, std::size_t t,
-                          std::span<const dft::Complex> candidate_spectrum,
-                          std::span<const dft::Complex> query_spectrum) {
-  return spec.target == TransformTarget::kBoth
-             ? spec.transforms[t].TransformedSquaredDistance(
-                   candidate_spectrum, query_spectrum)
-             : spec.transforms[t].TransformedToPlainSquaredDistance(
-                   candidate_spectrum, query_spectrum);
-}
-
+/// The Eq. 12 distance the predicate evaluates for transformation `t`,
+/// honouring the spec's TransformTarget, abandoned early past `bound`:
+/// exact whenever the result is <= bound; any value > bound means "no
+/// match". Partial sums are monotone, so the `d2 < eps2` predicate and
+/// every reported distance equal the plain evaluation's.
 double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
                                 std::span<const dft::Complex> candidate_spectrum,
                                 std::span<const dft::Complex> query_spectrum,
@@ -45,6 +58,9 @@ double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
                    candidate_spectrum, query_spectrum, bound);
 }
 
+/// Evaluates the distance predicate for one candidate against the (already
+/// chain-ordered, when `ordered`) transformations of a rectangle, appending
+/// matches and counting comparisons.
 void VerifyCandidate(const RangeQuerySpec& spec,
                      std::span<const dft::Complex> candidate_spectrum,
                      std::span<const dft::Complex> query_spectrum,
@@ -89,6 +105,7 @@ void VerifyCandidate(const RangeQuerySpec& spec,
   }
 }
 
+/// Full spec validation (lengths, thresholds, partition well-formedness).
 Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec) {
   if (spec.query.size() != dataset.length()) {
     return Status::InvalidArgument("query length does not match dataset");
@@ -145,14 +162,200 @@ Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec) {
   return Status::Ok();
 }
 
-}  // namespace range_detail
+/// Record fetches for one RunRangeQueries call. How often each id will be
+/// requested is known once traversal finishes; only ids requested more than
+/// once get a memo slot, so a single-use record is never retained — its
+/// caller reads it into a task-local buffer and drops it after verifying.
+/// Slots are sized once and never resized, so concurrent Get() calls race
+/// only on a slot's once_flag.
+class FetchTable {
+ public:
+  /// `requests[id]` is how many (query, rectangle) pairs will request `id`.
+  FetchTable(const Dataset& dataset, std::vector<std::uint32_t> requests)
+      : dataset_(dataset), slot_of_(std::move(requests)) {
+    std::uint32_t slots = 0;
+    for (std::uint32_t& slot : slot_of_) slot = slot >= 2 ? ++slots : 0;
+    slots_ = std::make_unique<Slot[]>(slots);
+  }
 
-using range_detail::kScanChunk;
-using range_detail::kVerifyChunk;
-using range_detail::OrderGroupByChain;
-using range_detail::PredicateDistance2;
-using range_detail::ValidateRangeSpec;
-using range_detail::VerifyCandidate;
+  /// Whether `id` has a memo slot (ids no index entry could name do not).
+  bool shared(std::size_t id) const {
+    return id < slot_of_.size() && slot_of_[id] != 0;
+  }
+
+  /// The memoized fetch of a shared `id` (the first caller pays the I/O).
+  const Result<std::vector<dft::Complex>>& Get(std::size_t id) {
+    Slot& slot = slots_[slot_of_[id] - 1];
+    std::call_once(slot.once, [&] {
+      slot.value.emplace(dataset_.FetchSpectrum(id, &slot.pages));
+    });
+    return *slot.value;
+  }
+
+  /// Serial attribution: true for the request that pays for `id`'s fetch,
+  /// false for a request served by an earlier one. `*pages` receives the
+  /// pages a shared fetch read (0 for a single-use id, whose pages its
+  /// verify task already counted).
+  bool Claim(std::size_t id, std::uint64_t* pages) {
+    *pages = 0;
+    if (!shared(id)) return true;
+    Slot& slot = slots_[slot_of_[id] - 1];
+    if (slot.claimed) return false;
+    slot.claimed = true;
+    *pages = slot.pages;
+    return true;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    std::optional<Result<std::vector<dft::Complex>>> value;
+    std::uint64_t pages = 0;
+    bool claimed = false;
+  };
+
+  const Dataset& dataset_;
+  std::vector<std::uint32_t> slot_of_;  // 1-based slot per id; 0 = not shared
+  std::unique_ptr<Slot[]> slots_;
+};
+
+/// One verification task: a kVerifyChunk chunk of one rectangle's candidate
+/// list, or a kScanChunk slice of the relation (rectangle 0).
+struct VerifyTask {
+  std::size_t rect = 0;
+  exec::ChunkRange range;
+};
+
+struct VerifyPart {
+  std::vector<Match> matches;
+  QueryStats stats;  // candidates and comparisons
+  std::uint64_t single_use_pages = 0;
+  std::uint64_t fetch_nanos = 0;
+  std::uint64_t verify_nanos = 0;
+};
+
+/// One query's state through the stages. A non-OK `status` is its first
+/// failure; later stages skip it.
+struct QueryRun {
+  Status status = Status::Ok();
+  bool scan = false;
+  std::vector<dft::Complex> query_spectrum;
+  rstar::Point query_features;
+  std::vector<transform::FeatureTransform> feature_transforms;
+  transform::Partition rects;      // chain-ordered when rect_ordered[r]
+  std::vector<bool> rect_ordered;
+  plan::PlanKey signature;         // traversal grouping (indexed only)
+  std::uint64_t plan_nanos = 0;
+
+  std::size_t group = 0;   // traversal group and position in it
+  std::size_t member = 0;
+
+  std::vector<VerifyTask> tasks;
+  std::vector<VerifyPart> parts;
+
+  std::uint64_t record_pages = 0;          // pages charged to the query
+  std::vector<std::uint64_t> rect_pages;   // ... per rectangle
+  std::uint64_t requests = 0;
+  std::uint64_t claims = 0;
+};
+
+/// One rectangle's traversal for a traversal group: per-member candidate
+/// lists in traversal order.
+struct RectPass {
+  std::vector<std::vector<rstar::Entry>> candidates;
+  rstar::SearchStats search;
+  std::uint64_t nanos = 0;
+  Status status = Status::Ok();
+};
+
+struct TraversalGroup {
+  std::vector<std::size_t> members;  // run indices, input order
+  std::vector<RectPass> rects;
+};
+
+/// The rectangles a query verifies against.
+transform::Partition EffectivePartition(const RangeRun& run) {
+  const std::size_t count = run.spec->transforms.size();
+  if (run.algorithm == Algorithm::kSequentialScan) {
+    return transform::PartitionAll(count);
+  }
+  if (run.algorithm == Algorithm::kStIndex) {
+    return transform::PartitionSingletons(count);
+  }
+  if (run.partition_override != nullptr && !run.partition_override->empty()) {
+    return *run.partition_override;
+  }
+  if (run.spec->partition.empty()) return transform::PartitionAll(count);
+  return run.spec->partition;
+}
+
+/// What must coincide for two indexed queries to share a traversal: the
+/// transformation set and its rectangles. Epsilon, target, ordering, the
+/// query and its query_transform may all differ — they only shape each
+/// member's own region and verification.
+plan::PlanKey TraversalSignature(const RangeQuerySpec& spec,
+                                 const transform::Partition& partition) {
+  plan::PlanKeyBuilder key;
+  key.Add(spec.transforms.size());
+  for (const transform::SpectralTransform& t : spec.transforms) {
+    key.AddString(t.label());
+    key.Add(t.length());
+    for (std::size_t f = 0; f < t.length(); ++f) {
+      const dft::Complex m = t.multiplier(f);
+      key.AddDouble(m.real());
+      key.AddDouble(m.imag());
+    }
+  }
+  key.Add(partition.size());
+  for (const std::vector<std::size_t>& group : partition) {
+    key.Add(group.size());
+    for (const std::size_t t : group) key.Add(t);
+  }
+  return key.key();
+}
+
+/// Stage 1 for one query. `sign`: compute the traversal signature (only
+/// worth its hashing when the call has more than one indexed query).
+void Prepare(const Dataset& dataset, const RangeRun& run, bool sign,
+             QueryRun* q) {
+  const std::uint64_t plan_start = MonotonicNanos();
+  q->status = RejectUnresolvedAuto(run.algorithm);
+  if (q->status.ok()) q->status = ValidateRangeSpec(dataset, *run.spec);
+  if (!q->status.ok()) return;
+  const RangeQuerySpec& spec = *run.spec;
+  const transform::FeatureLayout& layout = dataset.layout();
+  const ts::NormalForm query_normal = ts::Normalize(spec.query);
+  q->query_spectrum = dataset.plan().Forward(query_normal.values);
+  if (spec.query_transform.has_value()) {
+    q->query_spectrum =
+        spec.query_transform->ApplyToSpectrum(q->query_spectrum);
+  }
+  // Mean/stddev feature slots are never constrained by the query region, so
+  // reusing the raw query statistics alongside a transformed spectrum is
+  // sound.
+  q->query_features = ExtractFeatures(query_normal, q->query_spectrum, layout);
+
+  q->scan = run.algorithm == Algorithm::kSequentialScan;
+  q->rects = EffectivePartition(run);
+  if (!q->scan) {
+    if (sign) q->signature = TraversalSignature(spec, q->rects);
+    q->feature_transforms.reserve(spec.transforms.size());
+    for (const transform::SpectralTransform& t : spec.transforms) {
+      q->feature_transforms.push_back(t.ToFeatureTransform(layout));
+    }
+  }
+  // Dominance-chain ordering for the binary-search post-processing.
+  std::vector<std::size_t> chain;
+  if (spec.use_ordering) chain = transform::DominanceChain(spec.transforms);
+  q->rect_ordered.resize(q->rects.size());
+  for (std::size_t r = 0; r < q->rects.size(); ++r) {
+    q->rect_ordered[r] =
+        spec.use_ordering && OrderGroupByChain(chain, &q->rects[r]);
+  }
+  q->plan_nanos = MonotonicNanos() - plan_start;
+}
+
+}  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
   switch (algorithm) {
@@ -168,8 +371,8 @@ const char* AlgorithmName(Algorithm algorithm) {
   return "unknown";
 }
 
-Status RejectUnresolvedAuto(const ExecOptions& options) {
-  if (options.planner.algorithm == Algorithm::kAuto) {
+Status RejectUnresolvedAuto(Algorithm algorithm) {
+  if (algorithm == Algorithm::kAuto) {
     return Status::InvalidArgument(
         "Algorithm::kAuto must be resolved by SimilarityEngine::Execute; "
         "raw executors need a concrete algorithm");
@@ -188,6 +391,287 @@ QueryStats& QueryStats::operator+=(const QueryStats& other) {
   return *this;
 }
 
+std::vector<Result<RangeQueryResult>> RunRangeQueries(
+    const Dataset& dataset, const SequenceIndex& index,
+    std::span<const RangeRun> runs, std::size_t num_threads) {
+  const std::uint64_t start = MonotonicNanos();
+  const std::size_t n = runs.size();
+  const transform::FeatureLayout& layout = dataset.layout();
+
+  // --- 1. Prepare ----------------------------------------------------------
+  std::size_t indexed = 0;
+  for (const RangeRun& run : runs) {
+    if (run.algorithm != Algorithm::kSequentialScan) ++indexed;
+  }
+  std::vector<QueryRun> queries(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (runs[i].group_stats != nullptr) runs[i].group_stats->clear();
+    Prepare(dataset, runs[i], indexed > 1, &queries[i]);
+  }
+
+  // --- 2. Traverse ---------------------------------------------------------
+  // Traversal groups in input order, so the grouping is deterministic.
+  std::vector<TraversalGroup> groups;
+  {
+    std::unordered_map<plan::PlanKey, std::size_t, plan::PlanKeyHash>
+        group_for_signature;
+    for (std::size_t i = 0; i < n; ++i) {
+      QueryRun& q = queries[i];
+      if (!q.status.ok() || q.scan) continue;
+      const auto [it, inserted] =
+          group_for_signature.emplace(q.signature, groups.size());
+      if (inserted) {
+        groups.emplace_back();
+        groups.back().rects.resize(q.rects.size());
+      }
+      q.group = it->second;
+      q.member = groups[it->second].members.size();
+      groups[it->second].members.push_back(i);
+    }
+  }
+  struct TraversalTask {
+    std::size_t group = 0;
+    std::size_t rect = 0;
+  };
+  std::vector<TraversalTask> traversals;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t r = 0; r < groups[g].rects.size(); ++r) {
+      traversals.push_back(TraversalTask{g, r});
+    }
+  }
+  (void)exec::ParallelFor(
+      num_threads, traversals.size(), [&](std::size_t ti) -> Status {
+        TraversalGroup& group = groups[traversals[ti].group];
+        RectPass& pass = group.rects[traversals[ti].rect];
+        const std::uint64_t task_start = MonotonicNanos();
+        const QueryRun& leader = queries[group.members.front()];
+        std::vector<transform::FeatureTransform> rect_fts;
+        for (const std::size_t t : leader.rects[traversals[ti].rect]) {
+          rect_fts.push_back(leader.feature_transforms[t]);
+        }
+        const transform::TransformMbr mbr(rect_fts, layout);
+        // kBoth: the query region covers every transformed query image t(q).
+        // kDataOnly: the query is compared untransformed, so the region is
+        // the paper's literal step 2 — a safe window around q itself.
+        const std::vector<transform::FeatureTransform> identity = {
+            transform::FeatureTransform::Identity(layout.dimensions())};
+        std::vector<rstar::Rect> regions;
+        for (const std::size_t member : group.members) {
+          const RangeQuerySpec& spec = *runs[member].spec;
+          regions.push_back(BuildQueryRegion(
+              queries[member].query_features,
+              spec.target == TransformTarget::kBoth
+                  ? std::span<const transform::FeatureTransform>(rect_fts)
+                  : std::span<const transform::FeatureTransform>(identity),
+              spec.epsilon, layout));
+        }
+        pass.candidates.resize(regions.size());
+        if (regions.size() == 1) {
+          pass.status = index.tree().Search(
+              [&](const rstar::Rect& rect) {
+                return mbr.AppliedIntersects(rect, regions[0]);
+              },
+              &pass.candidates[0], &pass.search);
+        } else {
+          std::vector<rstar::Entry> entries;
+          pass.status = index.tree().Search(
+              [&](const rstar::Rect& rect) {
+                for (const rstar::Rect& region : regions) {
+                  if (mbr.AppliedIntersects(rect, region)) return true;
+                }
+                return false;
+              },
+              &entries, &pass.search);
+          for (const rstar::Entry& entry : entries) {
+            for (std::size_t m = 0; m < regions.size(); ++m) {
+              if (mbr.AppliedIntersects(entry.rect, regions[m])) {
+                pass.candidates[m].push_back(entry);
+              }
+            }
+          }
+        }
+        pass.nanos = MonotonicNanos() - task_start;
+        return Status::Ok();  // per-rectangle status kept in the pass
+      });
+  for (const TraversalGroup& group : groups) {
+    for (const RectPass& pass : group.rects) {
+      if (pass.status.ok()) continue;
+      // The lowest-indexed failing rectangle fails every member.
+      for (const std::size_t member : group.members) {
+        queries[member].status = pass.status;
+      }
+      break;
+    }
+  }
+
+  // --- 3 + 4. Fetch and verify ---------------------------------------------
+  // Every (query, rectangle) request is known now; count them per id so the
+  // fetch table memoizes exactly the ids requested more than once.
+  const auto candidates_of =
+      [&](const QueryRun& q,
+          std::size_t rect) -> const std::vector<rstar::Entry>& {
+    return groups[q.group].rects[rect].candidates[q.member];
+  };
+  std::vector<std::uint32_t> requests(dataset.size(), 0);
+  std::vector<std::size_t> task_counts(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    QueryRun& q = queries[i];
+    if (!q.status.ok()) continue;
+    if (q.scan) {
+      for (std::size_t id = 0; id < dataset.size(); ++id) {
+        if (!dataset.removed(id)) ++requests[id];
+      }
+      const std::size_t slices = exec::ChunkCount(dataset.size(), kScanChunk);
+      for (std::size_t c = 0; c < slices; ++c) {
+        q.tasks.push_back(
+            VerifyTask{0, exec::ChunkBounds(dataset.size(), kScanChunk, c)});
+      }
+    } else {
+      for (std::size_t r = 0; r < q.rects.size(); ++r) {
+        const std::vector<rstar::Entry>& candidates = candidates_of(q, r);
+        for (const rstar::Entry& entry : candidates) {
+          // A corrupted leaf may name an id past the relation; its fetch
+          // fails with OutOfRange below.
+          if (entry.id < requests.size()) ++requests[entry.id];
+        }
+        const std::size_t chunks =
+            exec::ChunkCount(candidates.size(), kVerifyChunk);
+        for (std::size_t c = 0; c < chunks; ++c) {
+          q.tasks.push_back(VerifyTask{
+              r, exec::ChunkBounds(candidates.size(), kVerifyChunk, c)});
+        }
+      }
+    }
+    q.parts.resize(q.tasks.size());
+    task_counts[i] = q.tasks.size();
+  }
+  FetchTable fetches(dataset, std::move(requests));
+  const std::vector<Status> verify_status = exec::ParallelForBatch(
+      num_threads, task_counts, [&](std::size_t i, std::size_t ti) -> Status {
+        QueryRun& q = queries[i];
+        const VerifyTask& task = q.tasks[ti];
+        VerifyPart& part = q.parts[ti];
+        const auto verify = [&](std::size_t id) -> Status {
+          const std::uint64_t fetch_start = MonotonicNanos();
+          std::optional<Result<std::vector<dft::Complex>>> own;
+          const Result<std::vector<dft::Complex>>& spectrum =
+              fetches.shared(id)
+                  ? fetches.Get(id)
+                  : own.emplace(
+                        dataset.FetchSpectrum(id, &part.single_use_pages));
+          const std::uint64_t fetch_end = MonotonicNanos();
+          part.fetch_nanos += fetch_end - fetch_start;
+          if (!spectrum.ok()) return spectrum.status();
+          ++part.stats.candidates;
+          VerifyCandidate(*runs[i].spec, *spectrum, q.query_spectrum,
+                          q.rects[task.rect], q.rect_ordered[task.rect], id,
+                          &part.matches, &part.stats);
+          part.verify_nanos += MonotonicNanos() - fetch_end;
+          return Status::Ok();
+        };
+        for (std::size_t c = task.range.first; c < task.range.last; ++c) {
+          if (q.scan && dataset.removed(c)) continue;
+          TSQ_RETURN_IF_ERROR(
+              verify(q.scan ? c : candidates_of(q, task.rect)[c].id));
+        }
+        return Status::Ok();
+      });
+
+  // --- 5. Attribute --------------------------------------------------------
+  // Serial, in input order and each query's task order: the request that
+  // claims a memoized fetch pays its pages; later ones are deduped. Failed
+  // queries claim nothing, so every charge is backed by a completed fetch.
+  for (std::size_t i = 0; i < n; ++i) {
+    QueryRun& q = queries[i];
+    if (q.status.ok()) q.status = verify_status[i];
+    if (!q.status.ok()) continue;
+    q.rect_pages.assign(q.rects.size(), 0);
+    const auto request = [&](std::size_t id, std::size_t rect) {
+      ++q.requests;
+      std::uint64_t pages = 0;
+      if (!fetches.Claim(id, &pages)) return;
+      ++q.claims;
+      q.record_pages += pages;
+      q.rect_pages[rect] += pages;
+    };
+    if (q.scan) {
+      for (std::size_t id = 0; id < dataset.size(); ++id) {
+        if (!dataset.removed(id)) request(id, 0);
+      }
+    } else {
+      for (std::size_t r = 0; r < q.rects.size(); ++r) {
+        for (const rstar::Entry& entry : candidates_of(q, r)) {
+          request(entry.id, r);
+        }
+      }
+    }
+  }
+
+  // --- Merge ---------------------------------------------------------------
+  std::vector<Result<RangeQueryResult>> results;
+  results.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    QueryRun& q = queries[i];
+    if (!q.status.ok()) {
+      results.emplace_back(q.status);
+      continue;
+    }
+    const RangeRun& run = runs[i];
+    RangeQueryResult result;
+    QueryStats& stats = result.stats;
+    obs::QueryTrace& trace = result.trace;
+    trace.algorithm = AlgorithmName(run.algorithm);
+    trace.num_threads = num_threads;
+    trace.at(obs::Phase::kPlan)
+        .AddTask(q.plan_nanos, run.spec->transforms.size());
+
+    const std::uint64_t merge_start = MonotonicNanos();
+    for (std::size_t ti = 0; ti < q.parts.size(); ++ti) {
+      const VerifyPart& part = q.parts[ti];
+      result.matches.insert(result.matches.end(), part.matches.begin(),
+                            part.matches.end());
+      stats += part.stats;
+      q.record_pages += part.single_use_pages;
+      q.rect_pages[q.tasks[ti].rect] += part.single_use_pages;
+      trace.at(obs::Phase::kCandidateFetch)
+          .AddTask(part.fetch_nanos, part.stats.candidates);
+      trace.at(obs::Phase::kVerification)
+          .AddTask(part.verify_nanos, part.stats.comparisons);
+    }
+    stats.record_pages_read = q.record_pages;
+
+    if (!q.scan) {
+      const TraversalGroup& group = groups[q.group];
+      const bool leader = q.member == 0;
+      trace.batch_group_queries = group.members.size();
+      trace.shared_traversal = group.members.size() >= 2;
+      for (std::size_t r = 0; r < group.rects.size(); ++r) {
+        const RectPass& pass = group.rects[r];
+        if (leader) {
+          ++stats.traversals;
+          stats.index_nodes_accessed += pass.search.nodes_accessed;
+          stats.index_leaves_accessed += pass.search.leaf_nodes_accessed;
+          trace.at(obs::Phase::kIndexTraversal)
+              .AddTask(pass.nanos, pass.search.nodes_accessed);
+        }
+        if (run.group_stats != nullptr) {
+          run.group_stats->push_back(GroupRunStats{
+              (leader ? pass.search.nodes_accessed : 0) + q.rect_pages[r],
+              leader ? pass.search.leaf_nodes_accessed : 0,
+              q.rects[r].size(), pass.candidates[q.member].size()});
+        }
+      }
+    }
+    stats.output_size = result.matches.size();
+    trace.deduped_fetches = q.requests - q.claims;
+    trace.at(obs::Phase::kMerge)
+        .AddTask(MonotonicNanos() - merge_start, result.matches.size());
+    trace.total_nanos = MonotonicNanos() - start;
+    results.emplace_back(std::move(result));
+  }
+  return results;
+}
+
 Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
                                        const SequenceIndex& index,
                                        const RangeQuerySpec& spec,
@@ -195,278 +679,11 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
                                        std::vector<GroupRunStats>* group_stats,
                                        const transform::Partition*
                                            partition_override) {
-  const std::uint64_t query_start = MonotonicNanos();
-  TSQ_RETURN_IF_ERROR(RejectUnresolvedAuto(options));
-  TSQ_RETURN_IF_ERROR(ValidateRangeSpec(dataset, spec));
-  if (group_stats != nullptr) group_stats->clear();
-
-  RangeQueryResult result;
-  QueryStats& stats = result.stats;
-  obs::QueryTrace& trace = result.trace;
-  trace.algorithm = AlgorithmName(options.planner.algorithm);
-  trace.num_threads = options.num_threads;
-
-  std::uint64_t plan_start = MonotonicNanos();
-  const transform::FeatureLayout& layout = dataset.layout();
-  const ts::NormalForm query_normal = ts::Normalize(spec.query);
-  std::vector<dft::Complex> query_spectrum =
-      dataset.plan().Forward(query_normal.values);
-  if (spec.query_transform.has_value()) {
-    query_spectrum = spec.query_transform->ApplyToSpectrum(query_spectrum);
-  }
-  // Mean/stddev feature slots are never constrained by the query region, so
-  // reusing the raw query statistics alongside a transformed spectrum is
-  // sound.
-  const rstar::Point query_features =
-      ExtractFeatures(query_normal, query_spectrum, layout);
-
-  // Dominance-chain ordering for the binary-search post-processing.
-  std::vector<std::size_t> chain;
-  if (spec.use_ordering) {
-    chain = transform::DominanceChain(spec.transforms);
-  }
-
-  if (options.planner.algorithm == Algorithm::kSequentialScan) {
-    std::vector<std::size_t> all(spec.transforms.size());
-    for (std::size_t t = 0; t < all.size(); ++t) all[t] = t;
-    const bool ordered = spec.use_ordering && OrderGroupByChain(chain, &all);
-    trace.at(obs::Phase::kPlan)
-        .AddTask(MonotonicNanos() - plan_start, spec.transforms.size());
-
-    // One task per fixed-size slice of the relation; each task accumulates
-    // its own matches and counters (pages via the FetchSpectrum out-param —
-    // buffer hits, tombstones and multi-page records are all accounted as
-    // they actually happen), merged below in slice order.
-    struct ScanPart {
-      std::vector<Match> matches;
-      QueryStats stats;
-      std::uint64_t record_pages = 0;
-      std::uint64_t fetch_nanos = 0;
-      std::uint64_t verify_nanos = 0;
-    };
-    const std::size_t tasks = exec::ChunkCount(dataset.size(), kScanChunk);
-    std::vector<ScanPart> parts(tasks);
-    TSQ_RETURN_IF_ERROR(exec::ParallelFor(
-        options.num_threads, tasks, [&](std::size_t task) -> Status {
-          const exec::ChunkRange slice =
-              exec::ChunkBounds(dataset.size(), kScanChunk, task);
-          ScanPart& part = parts[task];
-          for (std::size_t i = slice.first; i < slice.last; ++i) {
-            if (dataset.removed(i)) continue;
-            const std::uint64_t fetch_start = MonotonicNanos();
-            Result<std::vector<dft::Complex>> spectrum =
-                dataset.FetchSpectrum(i, &part.record_pages);
-            const std::uint64_t fetch_end = MonotonicNanos();
-            part.fetch_nanos += fetch_end - fetch_start;
-            if (!spectrum.ok()) return spectrum.status();
-            ++part.stats.candidates;  // sequences actually evaluated
-            VerifyCandidate(spec, *spectrum, query_spectrum, all, ordered, i,
-                            &part.matches, &part.stats);
-            part.verify_nanos += MonotonicNanos() - fetch_end;
-          }
-          return Status::Ok();
-        }));
-    const std::uint64_t merge_start = MonotonicNanos();
-    for (ScanPart& part : parts) {
-      result.matches.insert(result.matches.end(), part.matches.begin(),
-                            part.matches.end());
-      stats += part.stats;
-      stats.record_pages_read += part.record_pages;
-      trace.at(obs::Phase::kCandidateFetch)
-          .AddTask(part.fetch_nanos, part.stats.candidates);
-      trace.at(obs::Phase::kVerification)
-          .AddTask(part.verify_nanos, part.stats.comparisons);
-    }
-    stats.output_size = result.matches.size();
-    trace.at(obs::Phase::kMerge)
-        .AddTask(MonotonicNanos() - merge_start, result.matches.size());
-    trace.total_nanos = MonotonicNanos() - query_start;
-    return result;
-  }
-
-  // Indexed algorithms: ST-index is MT-index with singleton rectangles. A
-  // planner-chosen partition (the override) takes precedence over the
-  // spec's; both lose to ST-index's fixed singleton grouping.
-  transform::Partition partition;
-  if (options.planner.algorithm == Algorithm::kStIndex) {
-    partition = transform::PartitionSingletons(spec.transforms.size());
-  } else if (partition_override != nullptr && !partition_override->empty()) {
-    partition = *partition_override;
-  } else if (spec.partition.empty()) {
-    partition = transform::PartitionAll(spec.transforms.size());
-  } else {
-    partition = spec.partition;
-  }
-
-  // Feature-space projections of all transformations, built once.
-  std::vector<transform::FeatureTransform> feature_transforms;
-  feature_transforms.reserve(spec.transforms.size());
-  for (const transform::SpectralTransform& t : spec.transforms) {
-    feature_transforms.push_back(t.ToFeatureTransform(layout));
-  }
-  trace.at(obs::Phase::kPlan)
-      .AddTask(MonotonicNanos() - plan_start, spec.transforms.size());
-
-  // Phase A — one task per transformation rectangle: build the group MBR and
-  // query region, run the index traversal (Algorithm 1, steps 3-4), keep the
-  // candidates. Traversals only read tree pages, so they run concurrently.
-  struct GroupPass {
-    std::vector<std::size_t> group;  // chain-ordered when `ordered`
-    bool ordered = false;
-    std::vector<rstar::Entry> candidates;
-    rstar::SearchStats search;
-    std::uint64_t nanos = 0;
-  };
-  std::vector<GroupPass> passes(partition.size());
-  TSQ_RETURN_IF_ERROR(exec::ParallelFor(
-      options.num_threads, partition.size(), [&](std::size_t g) -> Status {
-        GroupPass& pass = passes[g];
-        const std::uint64_t task_start = MonotonicNanos();
-        pass.group = partition[g];
-        pass.ordered =
-            spec.use_ordering && OrderGroupByChain(chain, &pass.group);
-        std::vector<transform::FeatureTransform> group_fts;
-        group_fts.reserve(pass.group.size());
-        for (const std::size_t t : pass.group) {
-          group_fts.push_back(feature_transforms[t]);
-        }
-        const transform::TransformMbr mbr(group_fts, layout);
-        // kBoth: the query region covers every transformed query image t(q).
-        // kDataOnly: the query is compared untransformed, so the region is
-        // the paper's literal step 2 — a safe window around q itself.
-        const std::vector<transform::FeatureTransform> identity = {
-            transform::FeatureTransform::Identity(layout.dimensions())};
-        const rstar::Rect query_region = BuildQueryRegion(
-            query_features,
-            spec.target == TransformTarget::kBoth
-                ? std::span<const transform::FeatureTransform>(group_fts)
-                : std::span<const transform::FeatureTransform>(identity),
-            spec.epsilon, layout);
-        Status status = index.tree().Search(
-            [&](const rstar::Rect& rect) {
-              return mbr.AppliedIntersects(rect, query_region);
-            },
-            &pass.candidates, &pass.search);
-        pass.nanos = MonotonicNanos() - task_start;
-        return status;
-      }));
-
-  // Phase B — post-processing (step 5): fetch each candidate's full record
-  // and apply every transformation of its rectangle. One task per fixed-size
-  // candidate chunk; tasks are laid out group-major so the ordered merge
-  // reproduces the sequential output exactly.
-  struct VerifyTask {
-    std::size_t group_index = 0;
-    exec::ChunkRange range;
-  };
-  std::vector<VerifyTask> tasks;
-  for (std::size_t g = 0; g < passes.size(); ++g) {
-    const std::size_t chunks =
-        exec::ChunkCount(passes[g].candidates.size(), kVerifyChunk);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      tasks.push_back(VerifyTask{
-          g, exec::ChunkBounds(passes[g].candidates.size(), kVerifyChunk, c)});
-    }
-  }
-  struct VerifyPart {
-    std::vector<Match> matches;
-    QueryStats stats;                 // comparisons only
-    std::uint64_t record_pages = 0;   // pages read by this task's fetches
-    std::uint64_t fetch_nanos = 0;
-    std::uint64_t verify_nanos = 0;
-    std::uint64_t fetched = 0;        // candidates fetched by this task
-  };
-  std::vector<VerifyPart> parts(tasks.size());
-  TSQ_RETURN_IF_ERROR(exec::ParallelFor(
-      options.num_threads, tasks.size(), [&](std::size_t ti) -> Status {
-        const VerifyTask& task = tasks[ti];
-        const GroupPass& pass = passes[task.group_index];
-        VerifyPart& part = parts[ti];
-        for (std::size_t c = task.range.first; c < task.range.last; ++c) {
-          const rstar::Entry& entry = pass.candidates[c];
-          const std::uint64_t fetch_start = MonotonicNanos();
-          Result<std::vector<dft::Complex>> spectrum =
-              dataset.FetchSpectrum(entry.id, &part.record_pages);
-          const std::uint64_t fetch_end = MonotonicNanos();
-          part.fetch_nanos += fetch_end - fetch_start;
-          if (!spectrum.ok()) return spectrum.status();
-          ++part.fetched;
-          VerifyCandidate(spec, *spectrum, query_spectrum, pass.group,
-                          pass.ordered, entry.id, &part.matches, &part.stats);
-          part.verify_nanos += MonotonicNanos() - fetch_end;
-        }
-        return Status::Ok();
-      }));
-
-  // Deterministic merge: task order is group-major chunk order.
-  const std::uint64_t merge_start = MonotonicNanos();
-  std::vector<std::uint64_t> group_record_reads(passes.size(), 0);
-  for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-    VerifyPart& part = parts[ti];
-    result.matches.insert(result.matches.end(), part.matches.begin(),
-                          part.matches.end());
-    stats += part.stats;
-    stats.record_pages_read += part.record_pages;
-    group_record_reads[tasks[ti].group_index] += part.record_pages;
-    trace.at(obs::Phase::kCandidateFetch)
-        .AddTask(part.fetch_nanos, part.fetched);
-    trace.at(obs::Phase::kVerification)
-        .AddTask(part.verify_nanos, part.stats.comparisons);
-  }
-  for (std::size_t g = 0; g < passes.size(); ++g) {
-    const GroupPass& pass = passes[g];
-    ++stats.traversals;
-    stats.index_nodes_accessed += pass.search.nodes_accessed;
-    stats.index_leaves_accessed += pass.search.leaf_nodes_accessed;
-    stats.candidates += pass.candidates.size();
-    trace.at(obs::Phase::kIndexTraversal)
-        .AddTask(pass.nanos, pass.search.nodes_accessed);
-    if (group_stats != nullptr) {
-      group_stats->push_back(GroupRunStats{
-          pass.search.nodes_accessed + group_record_reads[g],
-          pass.search.leaf_nodes_accessed, pass.group.size(),
-          pass.candidates.size()});
-    }
-  }
-  stats.output_size = result.matches.size();
-  trace.at(obs::Phase::kMerge)
-      .AddTask(MonotonicNanos() - merge_start, result.matches.size());
-  trace.total_nanos = MonotonicNanos() - query_start;
-  return result;
-}
-
-Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
-                                       const SequenceIndex& index,
-                                       const RangeQuerySpec& spec,
-                                       Algorithm algorithm,
-                                       std::vector<GroupRunStats>* group_stats) {
-  ExecOptions options;
-  options.planner.algorithm = algorithm;
-  options.num_threads = 1;
-  options.collect_group_stats = group_stats != nullptr;
-  return RunRangeQuery(dataset, index, spec, options, group_stats);
-}
-
-std::vector<Match> BruteForceRangeQuery(const Dataset& dataset,
-                                        const RangeQuerySpec& spec) {
-  TSQ_CHECK_EQ(spec.query.size(), dataset.length());
-  const ts::NormalForm query_normal = ts::Normalize(spec.query);
-  std::vector<dft::Complex> query_spectrum =
-      dataset.plan().Forward(query_normal.values);
-  if (spec.query_transform.has_value()) {
-    query_spectrum = spec.query_transform->ApplyToSpectrum(query_spectrum);
-  }
-  const double eps2 = spec.epsilon * spec.epsilon;
-  std::vector<Match> matches;
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    if (dataset.removed(i)) continue;
-    for (std::size_t t = 0; t < spec.transforms.size(); ++t) {
-      const double d2 = PredicateDistance2(spec, t, dataset.spectrum(i),
-                                           query_spectrum);
-      if (d2 < eps2) matches.push_back(Match{i, t, std::sqrt(d2)});
-    }
-  }
-  return matches;
+  const RangeRun run{&spec, options.planner.algorithm, partition_override,
+                     group_stats};
+  return std::move(
+      RunRangeQueries(dataset, index, {&run, 1}, options.num_threads)
+          .front());
 }
 
 void SortMatches(std::vector<Match>* matches) {

@@ -11,84 +11,74 @@
 
 namespace tsq::core {
 
-/// Internals of the range executor shared with the batch executor
-/// (src/core/batch_executor.cc). The batch path must reproduce the solo
-/// executor's task decomposition and per-candidate evaluation *exactly* —
-/// matches are asserted byte-identical between the two — so the pieces that
-/// define them live here instead of being duplicated.
-namespace range_detail {
+/// One query of a RunRangeQueries call.
+struct RangeRun {
+  const RangeQuerySpec* spec = nullptr;
+  /// Concrete algorithm; kAuto is rejected like in every raw executor.
+  Algorithm algorithm = Algorithm::kMtIndex;
+  /// When non-null and non-empty, replaces the MT-index grouping that would
+  /// otherwise come from `spec->partition` — how the planner hands its chosen
+  /// partition to the executor without copying the spec.
+  const transform::Partition* partition_override = nullptr;
+  /// When non-null, receives one entry per index traversal (empty for the
+  /// sequential scan): the inputs of the cost function Ck (Eq. 20).
+  std::vector<GroupRunStats>* group_stats = nullptr;
+};
 
-/// Task granularity of the parallel executors. Part of the determinism
-/// contract only insofar as they are *constants*: chunk boundaries (and
-/// hence the merge order) never depend on num_threads — or on whether the
-/// query ran solo or in a batch.
-inline constexpr std::size_t kScanChunk = 256;   // ids per seq-scan task
-inline constexpr std::size_t kVerifyChunk = 32;  // candidates per verify task
-
-/// Sorts the indices of one group into ascending dominance-chain order when
-/// the whole transformation set forms a chain; returns false when it does
-/// not (the caller falls back to the linear sweep).
-bool OrderGroupByChain(const std::vector<std::size_t>& chain,
-                       std::vector<std::size_t>* group);
-
-/// The Eq. 12 distance the predicate evaluates for transformation `t`,
-/// honouring the spec's TransformTarget.
-double PredicateDistance2(const RangeQuerySpec& spec, std::size_t t,
-                          std::span<const dft::Complex> candidate_spectrum,
-                          std::span<const dft::Complex> query_spectrum);
-
-/// Early-abandoning PredicateDistance2: exact whenever the result is
-/// <= bound; any value > bound (exact or abandoned partial) means "no
-/// match". Since partial sums are monotone, the `d2 < eps2` predicate and
-/// every reported match distance are identical to the plain evaluation.
-double PredicateDistance2Within(const RangeQuerySpec& spec, std::size_t t,
-                                std::span<const dft::Complex> candidate_spectrum,
-                                std::span<const dft::Complex> query_spectrum,
-                                double bound);
-
-/// Evaluates the distance predicate for one candidate against the (already
-/// chain-ordered, when `ordered`) transformation indices of a group,
-/// appending matches and counting comparisons.
-void VerifyCandidate(const RangeQuerySpec& spec,
-                     std::span<const dft::Complex> candidate_spectrum,
-                     std::span<const dft::Complex> query_spectrum,
-                     const std::vector<std::size_t>& group, bool ordered,
-                     std::size_t series_id, std::vector<Match>* matches,
-                     QueryStats* stats);
-
-/// Full spec validation (lengths, thresholds, partition well-formedness);
-/// the exact Status a malformed spec gets from solo execution.
-Status ValidateRangeSpec(const Dataset& dataset, const RangeQuerySpec& spec);
-
-}  // namespace range_detail
-
-/// Executes Query 1 with the chosen algorithm (Section 4):
+/// The range pipeline, Query 1 for any number of queries at once (Section 4
+/// and Algorithm 1):
 ///
-///  * kSequentialScan — reads the whole record store once and evaluates the
-///    distance predicate |T| times per sequence (log |T| under an ordering);
-///  * kStIndex — one index traversal per transformation, each with the
-///    (degenerate, single-point) transformation rectangle applied to every
-///    node rectangle;
-///  * kMtIndex — Algorithm 1: one traversal per transformation *rectangle*,
-///    grouping per `spec.partition` (all transformations in one rectangle
-///    when the partition is empty).
+///  1. prepare: validate each spec, transform the query, fix its rectangles
+///     — the whole transformation set for kSequentialScan, one rectangle
+///     per transformation for kStIndex, `partition_override`, else
+///     `spec->partition`, else one packed rectangle for kMtIndex;
+///  2. traverse: one index traversal per rectangle. Indexed queries with the
+///     same transformation set and rectangles form a traversal group and
+///     share it: the union of the members' query regions drives the descent
+///     and each collected entry is re-tested per member, which yields each
+///     member's own candidate list in its own traversal order
+///     (TransformMbr::Apply is monotone in rect containment, and the stack
+///     DFS pops union-only subtrees as contiguous blocks);
+///  3. fetch: every (query, rectangle) candidate — or, for the scan, every
+///     live sequence — is fetched once per call. Ids that several requests
+///     want are memoized; every other id is read into a task-local buffer
+///     and dropped after verification;
+///  4. verify: the distance predicate per candidate and rectangle (binary
+///     search along a dominance chain under `use_ordering`);
+///  5. attribute and merge, deterministically.
 ///
-/// Parallelism (`options.num_threads`): index traversals fan out one task
-/// per transformation rectangle (so ST-index gets |T| tasks), candidate
-/// verification one task per fixed-size candidate chunk, and the sequential
-/// scan one task per fixed-size slice of the relation. Tasks merge in
-/// deterministic order, so matches and summed QueryStats are identical for
-/// every thread count.
+/// Invariants:
+///  * a query's matches do not depend on `num_threads` or on the other
+///    queries of the call. Work is cut into fixed-size tasks — one per
+///    (group, rectangle) traversal, one per 32-candidate chunk of a
+///    rectangle, one per 256-id slice of the relation for the scan — and
+///    merged in task order, rectangle-major;
+///  * no record is read twice in one call. Each fetched id's pages go to
+///    the first successful query that requested it (queries in input order,
+///    each query's requests in task order), so per-query record_pages_read
+///    sums to the physical reads and stays thread-count independent. Page
+///    counts come from FetchSpectrum's per-call out-param, never from
+///    diffing the shared PageFile counters, so a concurrent ResetIoStats()
+///    cannot split them;
+///  * a shared traversal's index counters (traversals, nodes, leaves) go to
+///    the group's lowest-indexed member; the others report 0;
+///  * `trace.deduped_fetches` counts a query's requests served by another
+///    request's fetch; `trace.batch_group_queries` is the size of its
+///    traversal group (0 for the scan) and `trace.shared_traversal` whether
+///    that is more than one.
 ///
-/// When `group_stats` is non-null it receives one entry per index traversal
-/// (empty for the sequential scan), the inputs of the cost function Ck
-/// (Eq. 20).
-///
-/// `partition_override`, when non-null and non-empty, replaces the MT-index
-/// grouping that would otherwise come from `spec.partition` — this is how
-/// the planner hands its chosen partition to the executor without copying
-/// the spec. `options.planner.algorithm` must be concrete here; kAuto is
-/// resolved by SimilarityEngine::Execute and rejected by the executor.
+/// Entry i is the result or error of runs[i]. A fault on one query's I/O
+/// fails that entry only.
+std::vector<Result<RangeQueryResult>> RunRangeQueries(
+    const Dataset& dataset, const SequenceIndex& index,
+    std::span<const RangeRun> runs, std::size_t num_threads);
+
+/// Executes Query 1 alone: RunRangeQueries with one query, run with
+/// `options.planner.algorithm` on `options.num_threads` workers (results
+/// and counters are identical for every value). `group_stats` and
+/// `partition_override` are as in RangeRun. The algorithm must be concrete
+/// here; kAuto is resolved by SimilarityEngine::Execute and rejected by the
+/// executor.
 Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
                                        const SequenceIndex& index,
                                        const RangeQuerySpec& spec,
@@ -97,20 +87,6 @@ Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
                                            nullptr,
                                        const transform::Partition*
                                            partition_override = nullptr);
-
-/// Legacy entry point: algorithm only, single-threaded.
-Result<RangeQueryResult> RunRangeQuery(const Dataset& dataset,
-                                       const SequenceIndex& index,
-                                       const RangeQuerySpec& spec,
-                                       Algorithm algorithm,
-                                       std::vector<GroupRunStats>* group_stats =
-                                           nullptr);
-
-/// Reference evaluation of Query 1 against the in-memory spectra; no I/O, no
-/// filtering. Ground truth for correctness tests (Lemma 1: the indexed
-/// algorithms must return exactly this set).
-std::vector<Match> BruteForceRangeQuery(const Dataset& dataset,
-                                        const RangeQuerySpec& spec);
 
 /// Sorts matches by (series_id, transform_index) for set comparison.
 void SortMatches(std::vector<Match>* matches);

@@ -119,6 +119,10 @@ Result<std::vector<transform::SpectralTransform>> ExpandFactor(
     }
     TSQ_RETURN_IF_ERROR(check_positive_int(factor.args[0].lo, "band edge"));
     TSQ_RETURN_IF_ERROR(check_positive_int(factor.args[1].lo, "band edge"));
+    if (factor.args[0].lo > factor.args[1].lo ||
+        factor.args[1].lo > static_cast<double>(n)) {
+      return ArityError(factor, "band edges with lo <= hi <= n");
+    }
     out.push_back(transform::BandPassTransform(
         n, static_cast<std::size_t>(factor.args[0].lo),
         static_cast<std::size_t>(factor.args[1].lo)));

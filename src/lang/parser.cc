@@ -1,5 +1,7 @@
 #include "lang/parser.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "lang/lexer.h"
@@ -26,9 +28,9 @@ class Parser {
       query.kind = QueryKind::kJoin;
     } else if (Peek().kind == TokenKind::kNumber) {
       query.kind = QueryKind::kKnn;
-      query.k = static_cast<std::size_t>(Peek().number);
-      if (Peek().number < 1.0) return Error("k must be at least 1");
-      Advance();
+      if (!TakeCount(1.0, &query.k)) {
+        return Error("k must be an integer of at least 1");
+      }
       TSQ_RETURN_IF_ERROR(ExpectKeyword("nearest"));
       TSQ_RETURN_IF_ERROR(ExpectKeyword("to"));
       TSQ_RETURN_IF_ERROR(ParseRef(&query));
@@ -84,11 +86,9 @@ class Parser {
         query.grouping = PeekKeyword("groups") ? GroupingChoice::kGroups
                                                : GroupingChoice::kPerMbr;
         Advance();
-        if (Peek().kind != TokenKind::kNumber || Peek().number < 1.0) {
-          return Error("expected a positive count");
+        if (!TakeCount(1.0, &query.grouping_value)) {
+          return Error("expected a positive integer count");
         }
-        query.grouping_value = static_cast<std::size_t>(Peek().number);
-        Advance();
       } else if (PeekKeyword("clustered")) {
         query.grouping = GroupingChoice::kClustered;
         Advance();
@@ -125,6 +125,22 @@ class Parser {
     return Status::Ok();
   }
 
+  /// Consumes a number token holding an integer in [min, SIZE_MAX] into
+  /// `*out`; false (nothing consumed) for anything else. A double that is
+  /// fractional, negative, NaN or past SIZE_MAX has no size_t value, and
+  /// casting one is undefined.
+  bool TakeCount(double min, std::size_t* out) {
+    const double value = Peek().number;
+    if (Peek().kind != TokenKind::kNumber || !(value >= min) ||
+        value != std::floor(value) ||
+        value >= std::ldexp(1.0, std::numeric_limits<std::size_t>::digits)) {
+      return false;
+    }
+    *out = static_cast<std::size_t>(value);
+    Advance();
+    return true;
+  }
+
   Result<ParsedQuery> Error(const std::string& what) const {
     std::ostringstream msg;
     msg << what << " (at position " << Peek().position << ", near "
@@ -135,11 +151,9 @@ class Parser {
 
   Status ParseRef(ParsedQuery* query) {
     TSQ_RETURN_IF_ERROR(ExpectKeyword("series"));
-    if (Peek().kind != TokenKind::kNumber || Peek().number < 0.0) {
+    if (!TakeCount(0.0, &query->series_id)) {
       return Error("expected a series id").status();
     }
-    query->series_id = static_cast<std::size_t>(Peek().number);
-    Advance();
     return Status::Ok();
   }
 

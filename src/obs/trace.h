@@ -115,10 +115,12 @@ struct QueryTrace {
   /// Excluded from DeterministicSignature() like snapshot_version: it
   /// depends on persistence history, not on the query.
   std::uint64_t checkpoint_epoch = 0;
-  /// Batched execution (SimilarityEngine::ExecuteBatch). All five fields
-  /// stay at their defaults for a plain Execute() and are excluded from
-  /// DeterministicSignature(): they describe how the work was *shared*
-  /// across co-batched queries, not what this query computed.
+  /// Work sharing. These five fields are excluded from
+  /// DeterministicSignature(): they describe how the work was *shared*, not
+  /// what this query computed. batch_size and result_cache_hit belong to
+  /// SimilarityEngine::ExecuteBatch and stay at their defaults for a plain
+  /// Execute(); the other three come from the range pipeline, which a plain
+  /// Execute() runs as a batch of one.
   std::size_t batch_size = 0;  // queries in the batch; 0 = not batched
   /// Queries whose index traversals this query's traversal group served
   /// (1 = this query traversed alone; 0 = no traversal group, e.g. scan).
@@ -129,8 +131,9 @@ struct QueryTrace {
   /// True when this result was served from the snapshot-keyed ResultCache
   /// (or copied from an identical co-batched query) instead of executed.
   bool result_cache_hit = false;
-  /// Candidate record fetches this query requested that the batch-scoped
-  /// fetch table had already read for another (or an earlier) request.
+  /// Candidate record fetches this query requested that were served by a
+  /// fetch already charged to another request — of another rectangle of
+  /// this query, or of another query of the batch.
   std::uint64_t deduped_fetches = 0;
   /// Active kernel ISA ("scalar", "sse2", "avx2") the distance kernels ran
   /// with — kernels::IsaName(kernels::ActiveIsa()). Excluded from

@@ -120,9 +120,10 @@ TEST_F(CostEstimatorTest, MeasuredCostTracksRuntimeOrdering) {
   auto cost_for = [&](std::size_t per_group) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);
+    ExecOptions options;
+    options.planner.algorithm = Algorithm::kMtIndex;
     std::vector<GroupRunStats> groups;
-    auto result =
-        RunRangeQuery(*dataset_, *index_, spec, Algorithm::kMtIndex, &groups);
+    auto result = RunRangeQuery(*dataset_, *index_, spec, options, &groups);
     EXPECT_TRUE(result.ok());
     return CostEq20(groups, leaf_capacity);
   };
@@ -233,9 +234,10 @@ TEST(CostModelScalingTest, MeasuredCostMonotoneInSequenceCount) {
                     transform::FeatureLayout{});
     SequenceIndex index(dataset);
     spec.query = ts::Denormalize(dataset.normal(0));
+    ExecOptions options;
+    options.planner.algorithm = Algorithm::kMtIndex;
     std::vector<GroupRunStats> groups;
-    auto result =
-        RunRangeQuery(dataset, index, spec, Algorithm::kMtIndex, &groups);
+    auto result = RunRangeQuery(dataset, index, spec, options, &groups);
     EXPECT_TRUE(result.ok());
     return CostEq20(groups, index.AverageLeafCapacity());
   };

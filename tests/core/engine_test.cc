@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 
@@ -157,7 +158,7 @@ TEST(SimilarityEngineTest, InsertAndRemoveSequences) {
     }
   }
   // Brute force agrees after mutations (indexed vs scan still equivalent).
-  const auto expected = BruteForceRangeQuery(engine.dataset(), spec);
+  const auto expected = testing::Oracle(engine.dataset()).Range(spec);
   auto mt = engine.Execute(spec);
   ASSERT_TRUE(mt.ok());
   EXPECT_EQ(mt->range()->matches.size(), expected.size());
@@ -199,7 +200,7 @@ TEST(SimilarityEngineTest, ManyInsertionsAndRemovalsStaySound) {
   spec.query = ts::Denormalize(engine.dataset().normal(live.front()));
   spec.transforms = transform::MovingAverageRange(64, 1, 6);
   spec.epsilon = 2.0;
-  const auto expected = BruteForceRangeQuery(engine.dataset(), spec);
+  const auto expected = testing::Oracle(engine.dataset()).Range(spec);
   auto mt = engine.Execute(spec);
   auto seq = engine.Execute(spec, {.planner = {.algorithm = Algorithm::kSequentialScan}});
   ASSERT_TRUE(mt.ok());

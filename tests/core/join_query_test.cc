@@ -4,6 +4,7 @@
 
 #include "test_util.h"
 #include "gtest/gtest.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 #include "ts/ops.h"
@@ -76,7 +77,7 @@ TEST_P(DistanceJoinEquivalenceTest, AllAlgorithmsMatchBruteForce) {
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.97, 128);
   spec.transforms = transform::MovingAverageRange(128, 5, 14);
 
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
     auto result = RunJoinQuery(*w.dataset, *w.index, spec, algorithm);
@@ -98,7 +99,7 @@ TEST(JoinQueryTest, CorrelationModeSoundAndComplete) {
   spec.min_correlation = 0.985;
   spec.transforms = transform::MovingAverageRange(128, 5, 14);
 
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   EXPECT_FALSE(expected.empty());
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
@@ -114,7 +115,7 @@ TEST(JoinQueryTest, PartitionedJoinStillExact) {
   spec.mode = JoinMode::kDistance;
   spec.epsilon = 1.0;
   spec.transforms = transform::MovingAverageRange(128, 6, 17);
-  const auto expected = BruteForceJoinQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Join(spec);
   for (std::size_t per_group : {1u, 3u, 12u}) {
     spec.partition =
         transform::PartitionBySize(spec.transforms.size(), per_group);

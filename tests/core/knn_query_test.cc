@@ -5,6 +5,7 @@
 
 #include "test_util.h"
 #include "gtest/gtest.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 
 namespace tsq::core {
@@ -56,7 +57,7 @@ TEST_P(KnnEquivalenceTest, AllAlgorithmsMatchBruteForce) {
   spec.k = 1 + seed % 7;
   spec.transforms = transform::MovingAverageRange(128, 5, 15);
 
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
   ASSERT_EQ(expected.size(), spec.k);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
@@ -152,7 +153,7 @@ TEST(KnnQueryTest, DataOnlyTargetMatchesBruteForce) {
   for (std::size_t s : {1u, 127u}) {
     spec.transforms.push_back(transform::ShiftTransform(128, s));
   }
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
   for (Algorithm algorithm : {Algorithm::kSequentialScan, Algorithm::kStIndex,
                               Algorithm::kMtIndex}) {
     auto result = RunKnnQuery(*w.dataset, *w.index, spec, algorithm);
@@ -172,7 +173,7 @@ TEST(KnnQueryTest, QueryTransformSupported) {
       transform::MomentumTransform(128)};
   spec.transforms = transform::ComposeSpectralSets(
       momentum, transform::ShiftRange(128, 0, 3));
-  const auto expected = BruteForceKnnQuery(*w.dataset, spec);
+  const auto expected = testing::Oracle(*w.dataset).Knn(spec);
   auto result = RunKnnQuery(*w.dataset, *w.index, spec, Algorithm::kMtIndex);
   ASSERT_TRUE(result.ok());
   ExpectSameNeighbors(result->matches, expected);

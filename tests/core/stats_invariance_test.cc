@@ -4,18 +4,23 @@
 // items each processed — must be byte-identical for every num_threads value;
 // only wall-clock fields may differ. And the scan path's record_pages_read
 // must equal the physical page reads actually issued, not a precomputed
-// dataset-wide figure.
+// dataset-wide figure. Indexed range queries read each candidate record
+// once, however many rectangles ask for it.
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "../core/test_util.h"
 #include "core/engine.h"
+#include "core/feature.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
+#include "transform/transform_mbr.h"
 #include "ts/distance.h"
+#include "ts/normal_form.h"
 
 namespace tsq::core {
 namespace {
@@ -125,6 +130,79 @@ TEST_F(StatsInvarianceTest, TracePhasesMatchAlgorithmShape) {
   EXPECT_EQ(mt_trace.at(obs::Phase::kVerification).items,
             mt->stats().comparisons);
   EXPECT_GT(mt->trace().total_nanos, 0u);
+}
+
+// The ids that pass `partition`'s rectangle filters (Algorithm 1, steps
+// 3-4), enumerated over the live feature points rather than through the
+// tree: a leaf entry is a point, so the traversal returns exactly these.
+std::set<std::size_t> DistinctCandidates(
+    const Dataset& dataset, const RangeQuerySpec& spec,
+    const transform::Partition& partition) {
+  const transform::FeatureLayout& layout = dataset.layout();
+  const ts::NormalForm normal = ts::Normalize(spec.query);
+  const std::vector<dft::Complex> spectrum =
+      dataset.plan().Forward(normal.values);
+  const rstar::Point query = ExtractFeatures(normal, spectrum, layout);
+  std::set<std::size_t> ids;
+  for (const std::vector<std::size_t>& group : partition) {
+    std::vector<transform::FeatureTransform> fts;
+    for (const std::size_t t : group) {
+      fts.push_back(spec.transforms[t].ToFeatureTransform(layout));
+    }
+    const transform::TransformMbr mbr(fts, layout);
+    const rstar::Rect region =
+        BuildQueryRegion(query, fts, spec.epsilon, layout);
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      if (!dataset.removed(i) &&
+          mbr.AppliedIntersects(rstar::Rect::FromPoint(dataset.features(i)),
+                                region)) {
+        ids.insert(i);
+      }
+    }
+  }
+  return ids;
+}
+
+// No range query reads a record twice: a candidate several rectangles
+// share (ST-index, multi-rectangle MT-index) is fetched and charged once.
+TEST_F(StatsInvarianceTest, RangeQueriesReadEachRecordOnce) {
+  RangeQuerySpec spec;
+  spec.query = ts::Denormalize(engine_.dataset().normal(3));
+  spec.transforms = transform::MovingAverageRange(128, 5, 20);
+  spec.epsilon = ts::CorrelationToDistanceThreshold(0.9, 128);
+  spec.partition = transform::PartitionIntoGroups(spec.transforms.size(), 3);
+
+  const std::pair<Algorithm, transform::Partition> plans[] = {
+      {Algorithm::kStIndex,
+       transform::PartitionSingletons(spec.transforms.size())},
+      {Algorithm::kMtIndex, spec.partition}};
+  for (const auto& [algorithm, partition] : plans) {
+    const std::set<std::size_t> ids =
+        DistinctCandidates(engine_.dataset(), spec, partition);
+    std::uint64_t spanned = 0;
+    for (const std::size_t id : ids) {
+      ASSERT_TRUE(engine_.dataset().FetchSpectrum(id, &spanned).ok());
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << AlgorithmName(algorithm)
+                                        << " threads=" << threads);
+      ExecOptions options;
+      options.planner.algorithm = algorithm;
+      options.num_threads = threads;
+      engine_.ResetIoStats();
+      const auto result = engine_.Execute(spec, options);
+      ASSERT_TRUE(result.ok());
+      const QueryStats& stats = result->stats();
+      EXPECT_EQ(stats.traversals, partition.size());
+      // Rectangles do share candidates here, so a per-rectangle fetch would
+      // read some records more than once.
+      EXPECT_GT(stats.candidates, ids.size());
+      EXPECT_EQ(stats.record_pages_read, engine_.dataset().record_io().reads);
+      EXPECT_EQ(stats.record_pages_read, spanned);
+      EXPECT_EQ(result->trace().deduped_fetches,
+                stats.candidates - ids.size());
+    }
+  }
 }
 
 // Regression for the scan-path stats bug: record_pages_read used to be

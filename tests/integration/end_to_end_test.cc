@@ -2,6 +2,7 @@
 #include "core/range_query.h"
 #include "../core/test_util.h"
 #include "gtest/gtest.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 #include "transform/partition.h"
 #include "ts/distance.h"
@@ -54,7 +55,7 @@ TEST_P(EndToEndSweepTest, EverythingAgreesWithBruteForce) {
   spec.epsilon = rng.Uniform(0.5, 6.0);
 
   const std::vector<Match> expected =
-      BruteForceRangeQuery(engine.dataset(), spec);
+      testing::Oracle(engine.dataset()).Range(spec);
 
   auto check = [&](Algorithm algorithm, const transform::Partition& partition) {
     RangeQuerySpec run_spec = spec;
@@ -108,7 +109,7 @@ TEST(EndToEndTest, TwoClusterWorkloadAllPartitionings) {
   spec.epsilon = ts::CorrelationToDistanceThreshold(0.96, n);
 
   const std::vector<Match> expected =
-      BruteForceRangeQuery(engine.dataset(), spec);
+      testing::Oracle(engine.dataset()).Range(spec);
   for (std::size_t per_group : {1u, 4u, 8u, 12u, 24u}) {
     RangeQuerySpec run_spec = spec;
     run_spec.partition =

@@ -10,6 +10,7 @@
 #include "core/range_query.h"
 #include "gtest/gtest.h"
 #include "lang/compiler.h"
+#include "testing/oracle.h"
 #include "transform/builders.h"
 #include "ts/distance.h"
 #include "ts/io.h"
@@ -46,7 +47,7 @@ TEST_F(GrandTourTest, FullLifecycle) {
   const auto& spec = std::get<core::RangeQuerySpec>(range->spec);
   const auto lang_result = engine.Execute(spec, range->options);
   ASSERT_TRUE(lang_result.ok());
-  const auto brute = core::BruteForceRangeQuery(engine.dataset(), spec);
+  const auto brute = testing::Oracle(engine.dataset()).Range(spec);
   EXPECT_EQ(lang_result->range()->matches.size(), brute.size());
 
   // 3. Mutations: drop the best non-self match, insert a fresh series.
@@ -80,7 +81,7 @@ TEST_F(GrandTourTest, FullLifecycle) {
   const auto reopened_result = (*reopened)->Execute(spec2, again->options);
   ASSERT_TRUE(reopened_result.ok());
   const auto reopened_brute =
-      core::BruteForceRangeQuery((*reopened)->dataset(), spec2);
+      testing::Oracle((*reopened)->dataset()).Range(spec2);
   EXPECT_EQ(reopened_result->range()->matches.size(), reopened_brute.size());
   if (victim != SIZE_MAX) {
     for (const core::Match& m : reopened_result->range()->matches) {

@@ -1,5 +1,7 @@
 #include "lang/compiler.h"
 
+#include <utility>
+
 #include "../core/test_util.h"
 #include "core/range_query.h"
 #include "gtest/gtest.h"
@@ -65,6 +67,16 @@ TEST(ExpandPipelinesTest, Errors) {
                                         0}}},
                                64)
                    .ok());  // unexpected arg
+  // Inverted or out-of-range band edges are an InvalidArgument, not an
+  // abort inside the transform builder.
+  for (const auto& [lo, hi] : {std::pair{5.0, 2.0}, std::pair{0.0, 65.0}}) {
+    const auto band = ExpandPipelines(
+        {{Factor{"band", {Arg{lo, lo, 1.0, false}, Arg{hi, hi, 1.0, false}},
+                 0}}},
+        64);
+    ASSERT_FALSE(band.ok()) << lo << ".." << hi;
+    EXPECT_EQ(band.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(CompilerTest, RangeQueryEndToEnd) {
@@ -178,6 +190,12 @@ TEST(CompilerTest, SemanticErrors) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(CompileQuery("find similar to series 0 under mv(2..4) within "
                          "distance 1 groups 9",
+                         engine)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CompileQuery("find similar to series 0 under band(5, 2) within "
+                         "distance 1",
                          engine)
                 .status()
                 .code(),

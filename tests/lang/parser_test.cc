@@ -119,5 +119,28 @@ TEST(ParserTest, RejectsZeroK) {
   EXPECT_FALSE(Parse("find 0 nearest to series 1 under mv(2)").ok());
 }
 
+// Counts become size_t: a fractional value or one past SIZE_MAX has no
+// size_t value, and casting it used to answer "0 neighbour(s)" silently.
+TEST(ParserTest, RejectsCountsWithNoSizeValue) {
+  for (const char* text :
+       {"find 99999999999999999999 nearest to series 1 under mv(2)",
+        "find 2.5 nearest to series 1 under mv(2)",
+        "find 3 nearest to series 99999999999999999999 under mv(2)",
+        "find 3 nearest to series 1.5 under mv(2)",
+        "find similar to series 1 under mv(2..9) within distance 1 "
+        "groups 99999999999999999999",
+        "find similar to series 1 under mv(2..9) within distance 1 "
+        "per_mbr 2.5"}) {
+    const auto q = Parse(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // The largest double below 2^64 still converts exactly.
+  const auto largest =
+      Parse("find 18446744073709549568 nearest to series 1 under mv(2)");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->k, 18446744073709549568ull);
+}
+
 }  // namespace
 }  // namespace tsq::lang
