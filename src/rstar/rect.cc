@@ -9,13 +9,19 @@
 
 namespace tsq::rstar {
 
-Rect::Rect(std::vector<double> low, std::vector<double> high)
-    : low_(std::move(low)), high_(std::move(high)) {
-  TSQ_CHECK_EQ(low_.size(), high_.size());
-  for (std::size_t d = 0; d < low_.size(); ++d) {
-    TSQ_DCHECK(low_[d] <= high_[d])
-        << "invalid rect bounds in dim " << d << ": " << low_[d] << " > "
-        << high_[d];
+Rect::Rect(std::size_t dimensions) : dims_(dimensions) {
+  if (dimensions > kInlineDimensions) wide_.resize(2 * dimensions);
+}
+
+Rect::Rect(std::span<const double> low, std::span<const double> high)
+    : Rect(low.size()) {
+  TSQ_CHECK_EQ(low.size(), high.size());
+  std::copy(low.begin(), low.end(), low_data());
+  std::copy(high.begin(), high.end(), high_data());
+  for (std::size_t d = 0; d < dims_; ++d) {
+    TSQ_DCHECK(low[d] <= high[d])
+        << "invalid rect bounds in dim " << d << ": " << low[d] << " > "
+        << high[d];
   }
 }
 
@@ -24,15 +30,17 @@ Rect Rect::FromPoint(const Point& point) {
 }
 
 Rect Rect::Empty(std::size_t dimensions) {
-  Rect r;
-  r.low_.assign(dimensions, std::numeric_limits<double>::infinity());
-  r.high_.assign(dimensions, -std::numeric_limits<double>::infinity());
+  Rect r(dimensions);
+  std::fill_n(r.low_data(), dimensions,
+              std::numeric_limits<double>::infinity());
+  std::fill_n(r.high_data(), dimensions,
+              -std::numeric_limits<double>::infinity());
   return r;
 }
 
 bool Rect::empty() const {
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    if (low_[d] > high_[d]) return true;
+    if (low(d) > high(d)) return true;
   }
   return dimensions() == 0;
 }
@@ -62,7 +70,7 @@ double Rect::CenterSquaredDistance(const Rect& other) const {
 bool Rect::Intersects(const Rect& other) const {
   TSQ_DCHECK(dimensions() == other.dimensions());
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    if (low_[d] > other.high_[d] || other.low_[d] > high_[d]) return false;
+    if (low(d) > other.high(d) || other.low(d) > high(d)) return false;
   }
   return true;
 }
@@ -70,7 +78,7 @@ bool Rect::Intersects(const Rect& other) const {
 bool Rect::Contains(const Rect& other) const {
   TSQ_DCHECK(dimensions() == other.dimensions());
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    if (other.low_[d] < low_[d] || other.high_[d] > high_[d]) return false;
+    if (other.low(d) < low(d) || other.high(d) > high(d)) return false;
   }
   return true;
 }
@@ -78,16 +86,18 @@ bool Rect::Contains(const Rect& other) const {
 bool Rect::ContainsPoint(const Point& point) const {
   TSQ_DCHECK(dimensions() == point.size());
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    if (point[d] < low_[d] || point[d] > high_[d]) return false;
+    if (point[d] < low(d) || point[d] > high(d)) return false;
   }
   return true;
 }
 
 void Rect::Enlarge(const Rect& other) {
   TSQ_DCHECK(dimensions() == other.dimensions());
+  double* low = low_data();
+  double* high = high_data();
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    low_[d] = std::min(low_[d], other.low_[d]);
-    high_[d] = std::max(high_[d], other.high_[d]);
+    low[d] = std::min(low[d], other.low(d));
+    high[d] = std::max(high[d], other.high(d));
   }
 }
 
@@ -101,8 +111,8 @@ double Rect::OverlapArea(const Rect& other) const {
   TSQ_DCHECK(dimensions() == other.dimensions());
   double area = 1.0;
   for (std::size_t d = 0; d < dimensions(); ++d) {
-    const double lo = std::max(low_[d], other.low_[d]);
-    const double hi = std::min(high_[d], other.high_[d]);
+    const double lo = std::max(low(d), other.low(d));
+    const double hi = std::min(high(d), other.high(d));
     if (lo > hi) return 0.0;
     area *= hi - lo;
   }
@@ -114,10 +124,10 @@ double Rect::MinSquaredDistance(const Point& point) const {
   double acc = 0.0;
   for (std::size_t d = 0; d < dimensions(); ++d) {
     double diff = 0.0;
-    if (point[d] < low_[d]) {
-      diff = low_[d] - point[d];
-    } else if (point[d] > high_[d]) {
-      diff = point[d] - high_[d];
+    if (point[d] < low(d)) {
+      diff = low(d) - point[d];
+    } else if (point[d] > high(d)) {
+      diff = point[d] - high(d);
     }
     acc += diff * diff;
   }
@@ -134,8 +144,8 @@ double Rect::MinMaxSquaredDistance(const Point& point) const {
   double total_rM2 = 0.0;
   for (std::size_t d = 0; d < dims; ++d) {
     const double mid = Center(d);
-    const double rm = point[d] <= mid ? low_[d] : high_[d];
-    const double rM = point[d] >= mid ? low_[d] : high_[d];
+    const double rm = point[d] <= mid ? low(d) : high(d);
+    const double rM = point[d] >= mid ? low(d) : high(d);
     rm2[d] = (point[d] - rm) * (point[d] - rm);
     rM2[d] = (point[d] - rM) * (point[d] - rM);
     total_rM2 += rM2[d];
@@ -151,9 +161,14 @@ std::string Rect::ToString() const {
   std::ostringstream os;
   for (std::size_t d = 0; d < dimensions(); ++d) {
     if (d > 0) os << "x";
-    os << "(" << low_[d] << ".." << high_[d] << ")";
+    os << "(" << low(d) << ".." << high(d) << ")";
   }
   return os.str();
+}
+
+bool Rect::operator==(const Rect& other) const {
+  return std::ranges::equal(lows(), other.lows()) &&
+         std::ranges::equal(highs(), other.highs());
 }
 
 Rect BoundingRect(std::span<const Rect> rects) {

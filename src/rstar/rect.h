@@ -1,6 +1,7 @@
 #ifndef TSQ_RSTAR_RECT_H_
 #define TSQ_RSTAR_RECT_H_
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -21,7 +22,9 @@ class Rect {
 
   /// Constructs from explicit bounds. Requires equal sizes and
   /// low[i] <= high[i] for all i.
-  Rect(std::vector<double> low, std::vector<double> high);
+  Rect(std::span<const double> low, std::span<const double> high);
+  Rect(const std::vector<double>& low, const std::vector<double>& high)
+      : Rect(std::span<const double>(low), std::span<const double>(high)) {}
 
   /// A degenerate rectangle covering exactly `point`.
   static Rect FromPoint(const Point& point);
@@ -30,19 +33,19 @@ class Rect {
   /// identity for Enlarge.
   static Rect Empty(std::size_t dimensions);
 
-  std::size_t dimensions() const { return low_.size(); }
+  std::size_t dimensions() const { return dims_; }
   bool empty() const;
 
-  double low(std::size_t dim) const { return low_[dim]; }
-  double high(std::size_t dim) const { return high_[dim]; }
-  std::span<const double> lows() const { return low_; }
-  std::span<const double> highs() const { return high_; }
+  double low(std::size_t dim) const { return low_data()[dim]; }
+  double high(std::size_t dim) const { return high_data()[dim]; }
+  std::span<const double> lows() const { return {low_data(), dims_}; }
+  std::span<const double> highs() const { return {high_data(), dims_}; }
 
-  void set_low(std::size_t dim, double v) { low_[dim] = v; }
-  void set_high(std::size_t dim, double v) { high_[dim] = v; }
+  void set_low(std::size_t dim, double v) { low_data()[dim] = v; }
+  void set_high(std::size_t dim, double v) { high_data()[dim] = v; }
 
   /// Side length along `dim` (0 for points, never negative for valid rects).
-  double Extent(std::size_t dim) const { return high_[dim] - low_[dim]; }
+  double Extent(std::size_t dim) const { return high(dim) - low(dim); }
 
   /// Product of extents. 0 for degenerate rectangles.
   double Area() const;
@@ -51,7 +54,9 @@ class Rect {
   double Margin() const;
 
   /// Center coordinate along `dim`.
-  double Center(std::size_t dim) const { return 0.5 * (low_[dim] + high_[dim]); }
+  double Center(std::size_t dim) const {
+    return 0.5 * (low(dim) + high(dim));
+  }
 
   /// Squared Euclidean distance between the centers of two rects.
   double CenterSquaredDistance(const Rect& other) const;
@@ -85,11 +90,27 @@ class Rect {
   /// "(lo..hi)x(lo..hi)" rendering for diagnostics.
   std::string ToString() const;
 
-  bool operator==(const Rect&) const = default;
+  bool operator==(const Rect& other) const;
 
  private:
-  std::vector<double> low_;
-  std::vector<double> high_;
+  // The bounds are one buffer, the lows then the highs. Up to
+  // kInlineDimensions dimensions (every layout of up to three coefficients)
+  // it lives inside the object, so copying, growing or decoding a rect
+  // allocates nothing; a wider rect keeps it in wide_.
+  static constexpr std::size_t kInlineDimensions = 8;
+
+  explicit Rect(std::size_t dimensions);
+
+  double* low_data() { return wide_.empty() ? inline_.data() : wide_.data(); }
+  const double* low_data() const {
+    return wide_.empty() ? inline_.data() : wide_.data();
+  }
+  double* high_data() { return low_data() + dims_; }
+  const double* high_data() const { return low_data() + dims_; }
+
+  std::size_t dims_ = 0;
+  std::array<double, 2 * kInlineDimensions> inline_{};
+  std::vector<double> wide_;
 };
 
 /// MBR of a set of rectangles. Requires a non-empty span.

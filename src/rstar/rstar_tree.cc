@@ -21,6 +21,29 @@ constexpr std::size_t kHeaderSize = 8;
 // logarithmic, so 64 levels can never be reached.
 constexpr std::size_t kMaxLevels = 64;
 
+// How much more the child entries[i] overlaps its siblings once grown to
+// cover `rect`: the sum over siblings j of area(grown & j) - area(child & j).
+// Every term is >= 0, so the partial sums never decrease; the sum stops,
+// with a value >= `bound`, once it reaches `bound`. A term is exactly 0 - 0,
+// and skipped, for a sibling the grown child does not overlap (the child
+// lies inside it, so it does not overlap the sibling either), and every term
+// is 0 - 0 for a child that already covers `rect`.
+double OverlapEnlargement(const std::vector<Entry>& entries, std::size_t i,
+                          const Rect& rect, double bound) {
+  const Rect& child = entries[i].rect;
+  if (child.Contains(rect)) return 0.0;
+  Rect grown = child;
+  grown.Enlarge(rect);
+  double sum = 0.0;
+  for (std::size_t j = 0; j < entries.size() && sum < bound; ++j) {
+    if (j == i) continue;
+    const double grown_overlap = grown.OverlapArea(entries[j].rect);
+    if (grown_overlap == 0.0) continue;
+    sum += grown_overlap - child.OverlapArea(entries[j].rect);
+  }
+  return sum;
+}
+
 }  // namespace
 
 RStarTree::RStarTree(storage::PageFile* file, std::size_t dimensions,
@@ -93,18 +116,19 @@ Status RStarTree::DeserializeNode(storage::PageId id,
   out->level = level;
   out->entries.clear();
   out->entries.reserve(count);
+  // An entry's lows and highs sit next to each other, as in a Rect.
+  std::vector<double> bounds(2 * dimensions_);
+  const std::span<const double> lows(bounds.data(), dimensions_);
+  const std::span<const double> highs(bounds.data() + dimensions_,
+                                      dimensions_);
   std::size_t cursor = kHeaderSize;
   for (std::uint32_t i = 0; i < count; ++i) {
-    Entry entry;
-    std::memcpy(&entry.id, in + cursor, sizeof entry.id);
-    cursor += sizeof entry.id;
-    std::vector<double> low(dimensions_), high(dimensions_);
-    std::memcpy(low.data(), in + cursor, dimensions_ * sizeof(double));
-    cursor += dimensions_ * sizeof(double);
-    std::memcpy(high.data(), in + cursor, dimensions_ * sizeof(double));
-    cursor += dimensions_ * sizeof(double);
-    entry.rect = Rect(std::move(low), std::move(high));
-    out->entries.push_back(std::move(entry));
+    std::uint64_t entry_id = 0;
+    std::memcpy(&entry_id, in + cursor, sizeof entry_id);
+    cursor += sizeof entry_id;
+    std::memcpy(bounds.data(), in + cursor, bounds.size() * sizeof(double));
+    cursor += bounds.size() * sizeof(double);
+    out->entries.push_back(Entry{Rect(lows, highs), entry_id});
   }
   return Status::Ok();
 }
@@ -157,29 +181,34 @@ std::size_t RStarTree::ChooseSubtree(const Node& node,
   const std::size_t count = node.entries.size();
   std::size_t best = 0;
   if (node.level == 1) {
-    // Children are leaves: minimize overlap enlargement (R* refinement).
-    double best_overlap = std::numeric_limits<double>::infinity();
-    double best_enlarge = std::numeric_limits<double>::infinity();
-    double best_area = std::numeric_limits<double>::infinity();
+    // Children are leaves: minimize overlap enlargement, ties by area
+    // enlargement, then by area, then by position (R* refinement). The
+    // children are tried in (area enlargement, area, position) order, so the
+    // first one with the least overlap enlargement is the answer: a later
+    // one must add strictly less overlap to replace it. That lets each sum
+    // stop once it reaches the best so far, and the search stop at the
+    // first child that adds no overlap at all.
+    std::vector<double> enlarge(count), area(count);
+    std::vector<std::size_t> order(count);
     for (std::size_t i = 0; i < count; ++i) {
-      Rect grown = node.entries[i].rect;
-      grown.Enlarge(rect);
-      double overlap_delta = 0.0;
-      for (std::size_t j = 0; j < count; ++j) {
-        if (j == i) continue;
-        overlap_delta += grown.OverlapArea(node.entries[j].rect) -
-                         node.entries[i].rect.OverlapArea(node.entries[j].rect);
-      }
-      const double enlarge = node.entries[i].rect.Enlargement(rect);
-      const double area = node.entries[i].rect.Area();
-      if (overlap_delta < best_overlap ||
-          (overlap_delta == best_overlap &&
-           (enlarge < best_enlarge ||
-            (enlarge == best_enlarge && area < best_area)))) {
-        best = i;
-        best_overlap = overlap_delta;
-        best_enlarge = enlarge;
-        best_area = area;
+      enlarge[i] = node.entries[i].rect.Enlargement(rect);
+      area[i] = node.entries[i].rect.Area();
+      order[i] = i;
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (enlarge[a] != enlarge[b]) return enlarge[a] < enlarge[b];
+      if (area[a] != area[b]) return area[a] < area[b];
+      return a < b;
+    });
+    best = order.front();
+    double best_overlap = OverlapEnlargement(
+        node.entries, best, rect, std::numeric_limits<double>::infinity());
+    for (std::size_t k = 1; k < count && best_overlap > 0.0; ++k) {
+      const double overlap =
+          OverlapEnlargement(node.entries, order[k], rect, best_overlap);
+      if (overlap < best_overlap) {
+        best = order[k];
+        best_overlap = overlap;
       }
     }
     return best;
@@ -230,7 +259,7 @@ Status RStarTree::InsertAtLevel(const Entry& entry, std::uint32_t target_level,
   node.entries.push_back(entry);
   if (node.entries.size() <= capacity_) {
     TSQ_RETURN_IF_ERROR(WriteNode(node));
-    return AdjustPath(path);
+    return AdjustPath(path, node);
   }
   return OverflowTreatment(std::move(node), std::move(path),
                            reinserted_levels);
@@ -270,7 +299,7 @@ Status RStarTree::OverflowTreatment(Node node,
     }
     node.entries = std::move(keep);
     TSQ_RETURN_IF_ERROR(WriteNode(node));
-    TSQ_RETURN_IF_ERROR(AdjustPath(path));
+    TSQ_RETURN_IF_ERROR(AdjustPath(path, node));
     const std::uint32_t level = node.level;
     for (const Entry& e : reinsert) {
       TSQ_RETURN_IF_ERROR(InsertAtLevel(e, level, reinserted_levels));
@@ -297,6 +326,9 @@ void RStarTree::ChooseSplit(const std::vector<Entry>& entries,
   std::vector<std::size_t> best_order;
 
   std::vector<std::size_t> order(total);
+  // Prefix/suffix bounding rects for O(n) margin evaluation, reused by every
+  // candidate order.
+  std::vector<Rect> prefix(total), suffix(total);
   for (std::size_t axis = 0; axis < dimensions_; ++axis) {
     for (const bool by_low : {true, false}) {
       for (std::size_t i = 0; i < total; ++i) order[i] = i;
@@ -312,8 +344,6 @@ void RStarTree::ChooseSplit(const std::vector<Entry>& entries,
         }
         return ra.low(axis) < rb.low(axis);
       });
-      // Prefix/suffix bounding rects for O(n) margin evaluation.
-      std::vector<Rect> prefix(total), suffix(total);
       prefix[0] = entries[order[0]].rect;
       for (std::size_t i = 1; i < total; ++i) {
         prefix[i] = prefix[i - 1];
@@ -342,7 +372,6 @@ void RStarTree::ChooseSplit(const std::vector<Entry>& entries,
   // On the chosen axis/order, pick the distribution with minimum overlap,
   // ties by minimum combined area (R* "ChooseSplitIndex").
   const std::vector<std::size_t>& ord = best_order;
-  std::vector<Rect> prefix(total), suffix(total);
   prefix[0] = entries[ord[0]].rect;
   for (std::size_t i = 1; i < total; ++i) {
     prefix[i] = prefix[i - 1];
@@ -419,31 +448,33 @@ Status RStarTree::SplitNode(Node node, std::vector<storage::PageId> path,
   parent.entries.push_back(Entry{NodeRect(sibling), sibling.self});
   if (parent.entries.size() <= capacity_) {
     TSQ_RETURN_IF_ERROR(WriteNode(parent));
-    return AdjustPath(path);
+    return AdjustPath(path, parent);
   }
   return OverflowTreatment(std::move(parent), std::move(path),
                            reinserted_levels);
 }
 
-Status RStarTree::AdjustPath(const std::vector<storage::PageId>& path) {
-  // Walk from the deepest ancestor up, refreshing each parent's rect for the
-  // child on the path.
+Status RStarTree::AdjustPath(const std::vector<storage::PageId>& path,
+                             const Node& changed) {
+  // Walk up from the changed node, refreshing each parent's rect for the
+  // child on the path. Before the change every parent rect was the tight
+  // MBR of its child, so the walk stops at the first parent whose rect for
+  // the child is already right: nothing above it changes either.
+  TSQ_CHECK(!path.empty() && path.back() == changed.self);
+  Rect rect = NodeRect(changed);
+  Node parent;
   for (std::size_t i = path.size(); i-- > 1;) {
-    Node child, parent;
-    TSQ_RETURN_IF_ERROR(ReadNode(path[i], &child));
     TSQ_RETURN_IF_ERROR(ReadNode(path[i - 1], &parent));
-    bool found = false;
-    for (Entry& entry : parent.entries) {
-      if (entry.id == path[i]) {
-        entry.rect = NodeRect(child);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const auto entry = std::find_if(
+        parent.entries.begin(), parent.entries.end(),
+        [&](const Entry& e) { return e.id == path[i]; });
+    if (entry == parent.entries.end()) {
       return Status::Internal("path child missing from parent during adjust");
     }
+    if (entry->rect == rect) break;
+    entry->rect = rect;
     TSQ_RETURN_IF_ERROR(WriteNode(parent));
+    rect = NodeRect(parent);
   }
   return Status::Ok();
 }

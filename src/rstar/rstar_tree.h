@@ -211,8 +211,10 @@ class RStarTree {
   void ChooseSplit(const std::vector<Entry>& entries,
                    std::vector<Entry>* group_a,
                    std::vector<Entry>* group_b) const;
-  // Recomputes ancestors' bounding rects along `path` after a child changed.
-  Status AdjustPath(const std::vector<storage::PageId>& path);
+  // Recomputes ancestors' bounding rects along `path` (root to `changed`,
+  // inclusive) after `changed` was written.
+  Status AdjustPath(const std::vector<storage::PageId>& path,
+                    const Node& changed);
 
   // --- deletion ------------------------------------------------------------
   Status FindLeaf(const Node& node, const Rect& rect, std::uint64_t id,

@@ -140,6 +140,41 @@ TEST(RectTest, BoundingRect) {
   EXPECT_EQ(BoundingRect(rects), MakeRect({-2.0}, {6.0}));
 }
 
+// Rects of up to eight dimensions keep their bounds inside the object, wider
+// ones on the heap; both must behave the same.
+TEST(RectTest, WideRectsBehaveLikeNarrowOnes) {
+  for (const std::size_t dims : {std::size_t{8}, std::size_t{12}}) {
+    std::vector<double> low(dims, 0.0), high(dims, 2.0);
+    const Rect a(low, high);
+    EXPECT_EQ(a.dimensions(), dims);
+    EXPECT_EQ(a.lows().size(), dims);
+    EXPECT_EQ(a.high(dims - 1), 2.0);
+    EXPECT_EQ(a.Area(), std::pow(2.0, static_cast<double>(dims)));
+
+    Rect copy = a;
+    EXPECT_EQ(copy, a);
+    copy.set_high(dims - 1, 3.0);
+    EXPECT_NE(copy, a);
+    EXPECT_EQ(a.high(dims - 1), 2.0);  // the copy owns its bounds
+    EXPECT_TRUE(copy.Contains(a));
+    EXPECT_EQ(a.OverlapArea(copy), a.Area());
+
+    low.back() = 5.0;
+    high.back() = 6.0;
+    const Rect b(low, high);
+    EXPECT_EQ(a.OverlapArea(b), 0.0);
+    Rect grown = a;
+    grown.Enlarge(b);
+    EXPECT_EQ(grown.low(dims - 1), 0.0);
+    EXPECT_EQ(grown.high(dims - 1), 6.0);
+    EXPECT_EQ(a.Enlargement(b), grown.Area() - a.Area());
+
+    EXPECT_NE(Rect::FromPoint(low), Rect::FromPoint({0.0}));
+    const Rect empty = Rect::Empty(dims);
+    EXPECT_TRUE(empty.empty());
+  }
+}
+
 TEST(RectTest, ToStringIsReadable) {
   EXPECT_EQ(MakeRect({0.0, 1.0}, {2.0, 3.0}).ToString(), "(0..2)x(1..3)");
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
@@ -551,6 +552,68 @@ TEST(BulkLoadExtraTest, EmptyAndSingleton) {
   std::vector<Entry> results;
   ASSERT_TRUE(tree.WindowQuery(Rect({0.0, 0.0}, {2.0, 3.0}), &results).ok());
   ASSERT_EQ(results.size(), 1u);
+}
+
+// Fingerprint of the tree a seeded run of inserts and deletes builds: every
+// node's page, level, entry ids and bounds. Any change in a choice of subtree,
+// split or reinsertion changes it.
+std::uint64_t DecisionFingerprint(std::size_t dims) {
+  storage::PageFile file;
+  TreeOptions options;
+  options.capacity_override = 10;  // small nodes: many splits and reinserts
+  RStarTree tree(&file, dims, options);
+  Rng rng(dims * 7919 + 17);
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < 1500; ++i) {
+    points.push_back(RandomPoint(dims, rng));
+    if (!tree.Insert(Rect::FromPoint(points.back()), i).ok()) return 0;
+  }
+  for (std::size_t i = 0; i < points.size(); i += 3) {
+    if (!tree.Delete(Rect::FromPoint(points[i]), i).ok()) return 0;
+  }
+  for (std::size_t i = 0; i < 500; ++i) {
+    points.push_back(RandomPoint(dims, rng));
+    if (!tree.Insert(Rect::FromPoint(points.back()), points.size() - 1).ok()) {
+      return 0;
+    }
+  }
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  auto mix = [&hash](std::uint64_t v) {
+    hash ^= v;
+    hash *= 0x100000001B3ull;
+  };
+  auto mix_double = [&mix](double v) {
+    v += 0.0;  // one bit pattern for +0 and -0
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  mix(tree.root_page());
+  mix(tree.height());
+  const Status visited = tree.VisitNodes([&](const RStarTree::NodeView& node) {
+    mix(node.page);
+    mix(node.level);
+    for (const Entry& entry : node.entries) {
+      mix(entry.id);
+      for (const double v : entry.rect.lows()) mix_double(v);
+      for (const double v : entry.rect.highs()) mix_double(v);
+    }
+  });
+  if (!visited.ok() || !tree.CheckInvariants().ok()) return 0;
+  return hash;
+}
+
+// Insertion and deletion are tuned for speed: ChooseSubtree stops summing
+// overlap once a child cannot win, AdjustPath stops at the first ancestor
+// whose rect is already right, and rects keep their bounds inline. None of
+// that may change a decision of the R*-tree rules. These fingerprints were
+// taken from the plain implementation, which summed every overlap term and
+// rewrote every ancestor; 12 dimensions exercises rects too wide for the
+// inline bounds.
+TEST(RStarTreeTest, InsertAndDeleteDecisionsMatchThePlainRules) {
+  EXPECT_EQ(DecisionFingerprint(2), 0xa323188868804e34ull);
+  EXPECT_EQ(DecisionFingerprint(6), 0xaf9d952b3ac764c3ull);
+  EXPECT_EQ(DecisionFingerprint(12), 0x9fa08aefe4ef7f17ull);
 }
 
 TEST(RStarTreeTest, VisitNodesSeesWholeTree) {
