@@ -5,8 +5,10 @@
 # TSan finds the races; ASan/UBSan find the lifetime bugs the sharded
 # buffer pool's lock-dropping miss path could introduce (a leader
 # publishing into a freed in-flight slot, a follower reading a dead page
-# buffer). Run this alongside scripts/tsan_exec_tests.sh when touching
-# src/storage or src/exec.
+# buffer). The dataset and R*-tree tests cover the decoders that read
+# straight out of PageFile::View (Dataset::FetchSpectrum, RStarTree::ReadNode).
+# Run this alongside scripts/tsan_exec_tests.sh when touching src/storage or
+# src/exec.
 #
 # Usage: scripts/asan_storage_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -17,9 +19,9 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DTSQ_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target \
   page_file_test atomic_file_test buffer_pool_test record_store_test \
-  persistence_test checkpoint_robustness_test \
+  dataset_test rstar_tree_test persistence_test checkpoint_robustness_test \
   parallel_test exec_determinism_test exec_concurrency_test \
   batch_concurrency_test result_cache_test
 
 cd "$BUILD_DIR"
-ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Persistence|CheckpointRobustness|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache'
+ctest --output-on-failure -R 'PageFile|AtomicFile|BufferPool|ShardedBufferPool|RecordStore|Dataset|RStarTree|Persistence|CheckpointRobustness|EffectiveThreads|ThreadPool|ParallelFor|Chunk|ExecutorDeterminism|ExecutorConcurrency|BatchConcurrency|ResultCache'

@@ -66,6 +66,11 @@ class Dataset {
   /// Fetches sequence i's normal form from the record store (counted page
   /// reads) and returns its spectrum. This is what executors use to touch a
   /// "full database record" at the cost the paper's cost model charges.
+  /// The record is decoded straight out of PageFile::View page views into
+  /// the returned vector (one allocation, one copy per page fragment), so
+  /// the caller must hold writers off the dataset meanwhile — the engine's
+  /// read pin does. A record whose length is not the spectrum's is
+  /// Corruption, rejected before anything is allocated.
   /// `pages_read`, when non-null, is incremented by the pages this fetch
   /// touched — per-task accounting for the parallel executor, which cannot
   /// diff the shared record_io() counter.
@@ -86,8 +91,9 @@ class Dataset {
 
   /// Installs (nullptr removes) a fault-injection hook on the record page
   /// file; every record fetch — sequential scan and candidate verification
-  /// alike — passes through it. Not safe concurrently with queries; keep
-  /// the hook alive until removed.
+  /// alike — passes through it, delivered as a checksummed copy whether or
+  /// not the page was verified before. Not safe concurrently with queries;
+  /// keep the hook alive until removed.
   void SetReadFaultHook(storage::FaultHook* hook) {
     record_file_.SetFaultHook(hook);
   }

@@ -135,13 +135,19 @@ Status RStarTree::DeserializeNode(storage::PageId id,
 
 Status RStarTree::ReadNode(storage::PageId id, Node* out,
                            SearchStats* stats) const {
-  storage::Page page;
   if (pool_ != nullptr) {
+    storage::Page page;
     TSQ_RETURN_IF_ERROR(pool_->Read(id, &page));
+    TSQ_RETURN_IF_ERROR(DeserializeNode(id, page, out));
   } else {
-    TSQ_RETURN_IF_ERROR(file_->Read(id, &page));
+    // Decode straight from the file's page. The view is consumed before
+    // this returns, and node reads run under the engine's read pin or on
+    // the one writer thread, so no page mutation races it.
+    storage::PageScratch scratch;
+    const Result<const storage::Page*> page = file_->View(id, &scratch);
+    TSQ_RETURN_IF_ERROR(page.status());
+    TSQ_RETURN_IF_ERROR(DeserializeNode(id, **page, out));
   }
-  TSQ_RETURN_IF_ERROR(DeserializeNode(id, page, out));
   if (stats != nullptr) {
     ++stats->nodes_accessed;
     if (out->is_leaf()) ++stats->leaf_nodes_accessed;

@@ -47,8 +47,9 @@ struct WriteFaultDecision {
   Status status;
 };
 
-/// Fault-injection hook consulted by PageFile::Read and BufferPool::Read,
-/// and — through OnWrite — by every step of the atomic checkpoint writer.
+/// Fault-injection hook consulted by PageFile::Read, PageFile::View and
+/// BufferPool::Read, and — through OnWrite — by every step of the atomic
+/// checkpoint writer.
 ///
 /// The hook is installed with SetFaultHook (an atomic pointer swap) and is
 /// consulted once per read with the page id being served. Implementations
@@ -57,9 +58,9 @@ struct WriteFaultDecision {
 /// (SetFaultHook(nullptr)) and all in-flight reads have drained.
 ///
 /// Corruption and short-read injections in PageFile mutate the page *as
-/// delivered*, not the stored copy, and then run the normal checksum
-/// verification — so they exercise the real detection path and the file
-/// stays healthy for subsequent reads.
+/// delivered*, not the stored copy, and then run the real checksum (even on
+/// a page already verified) — so they exercise the real detection path and
+/// the file stays healthy for subsequent reads.
 class FaultHook {
  public:
   virtual ~FaultHook() = default;

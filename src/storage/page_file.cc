@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -27,13 +28,16 @@ struct PageFileMetrics {
   obs::Counter* reads;
   obs::Counter* writes;
   obs::Counter* allocations;
+  obs::Counter* verifications;
 
   static const PageFileMetrics& Get() {
     static const PageFileMetrics metrics = [] {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      return PageFileMetrics{registry.counter("storage.page_file.reads"),
-                             registry.counter("storage.page_file.writes"),
-                             registry.counter("storage.page_file.allocations")};
+      return PageFileMetrics{
+          registry.counter("storage.page_file.reads"),
+          registry.counter("storage.page_file.writes"),
+          registry.counter("storage.page_file.allocations"),
+          registry.counter("storage.page_file.verifications")};
     }();
     return metrics;
   }
@@ -56,30 +60,64 @@ std::uint64_t PageFile::Checksum(const Page& page) {
   return hash;
 }
 
-PageId PageFile::Allocate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pages_.emplace_back();
-  checksums_.push_back(Checksum(pages_.back()));
-  allocations_.fetch_add(1, std::memory_order_relaxed);
-  PageFileMetrics::Get().allocations->Increment();
-  return static_cast<PageId>(pages_.size() - 1);
+std::unique_ptr<PageFile::Chunk> PageFile::NewChunk() {
+  auto chunk = std::make_unique<Chunk>();
+  chunk->pages.reset(static_cast<Page*>(std::calloc(kChunkPages, kPageSize)));
+  if (chunk->pages == nullptr) throw std::bad_alloc();
+  return chunk;
 }
 
-Status PageFile::Read(PageId id, Page* out) {
-  FaultDecision fault;
-  if (FaultHook* hook = fault_hook_.load(std::memory_order_acquire)) {
-    fault = hook->OnRead(id);
+PageId PageFile::Allocate() {
+  static const std::uint64_t kZeroPageChecksum = Checksum(Page{});
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t id = page_count_.load(std::memory_order_relaxed);
+  if (id == chunks_.size() * kChunkPages) {
+    chunks_.push_back(NewChunk());
   }
-  const std::uint64_t delay = read_delay_nanos() + fault.delay_nanos;
-  if (delay > 0) {
-    // Spin outside the lock: concurrent readers pay their simulated
-    // latencies in parallel, like requests in flight on independent disks.
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::nanoseconds(delay);
-    while (std::chrono::steady_clock::now() < until) {
-      // Models the fixed per-page cost of a (cached-era) disk access.
-    }
+  // Only Clear and LoadFrom take pages away, and both drop their chunks, so
+  // a slot past the end is still the zeroes its chunk was created with.
+  VerifiedFlag(static_cast<PageId>(id)).store(false, std::memory_order_relaxed);
+  checksums_.push_back(kZeroPageChecksum);
+  page_count_.store(id + 1, std::memory_order_release);
+  allocations_.fetch_add(1, std::memory_order_relaxed);
+  PageFileMetrics::Get().allocations->Increment();
+  return static_cast<PageId>(id);
+}
+
+void PageFile::SimulateLatency(std::uint64_t extra_nanos) const {
+  const std::uint64_t delay = read_delay_nanos() + extra_nanos;
+  if (delay == 0) return;
+  // Spin outside the lock: concurrent readers pay their simulated latencies
+  // in parallel, like requests in flight on independent disks.
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(delay);
+  while (std::chrono::steady_clock::now() < until) {
+    // Models the fixed per-page cost of a (cached-era) disk access.
   }
+}
+
+Status PageFile::VerifyOnceLocked(PageId id) {
+  std::atomic<bool>& verified = VerifiedFlag(id);
+  if (verified.load(std::memory_order_relaxed)) return Status::Ok();
+  PageFileMetrics::Get().verifications->Increment();
+  if (Checksum(PageAt(id)) != checksums_[id]) {
+    return Status::Corruption(
+        PageIdMessage("checksum mismatch", id, page_count()));
+  }
+  // Release pairs with View's acquire load: a reader that sees the flag set
+  // also sees the bytes it was computed over.
+  verified.store(true, std::memory_order_release);
+  return Status::Ok();
+}
+
+void PageFile::CountRead() {
+  reads_.fetch_add(1, std::memory_order_relaxed);
+  PageFileMetrics::Get().reads->Increment();
+}
+
+Status PageFile::ReadThroughHook(PageId id, FaultHook* hook, Page* out) {
+  const FaultDecision fault = hook->OnRead(id);
+  SimulateLatency(fault.delay_nanos);
   if (fault.action == FaultDecision::Action::kFail) {
     // Failed I/Os are never counted; the hook's status stands in for the
     // device error verbatim.
@@ -87,41 +125,76 @@ Status PageFile::Read(PageId id, Page* out) {
                ? Status::IoError(PageIdMessage("injected fault", id, 0))
                : fault.status;
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t count = page_count();
+  if (id >= count) return Status::OutOfRange(PageIdMessage("read", id, count));
+  // Faults mutate the page *as delivered*, not the stored copy, and then go
+  // through the real checksum whatever the verified flag says: corruption
+  // and torn reads are caught by the same machinery a real mismatch hits.
+  *out = PageAt(id);
+  if (fault.action == FaultDecision::Action::kCorruptBytes) {
+    out->bytes[fault.byte_offset % kPageSize] ^= 0xFF;
+  } else if (fault.action == FaultDecision::Action::kShortRead &&
+             fault.valid_bytes < kPageSize) {
+    std::fill(out->bytes.begin() + fault.valid_bytes, out->bytes.end(),
+              std::uint8_t{0});
+  }
+  PageFileMetrics::Get().verifications->Increment();
+  if (Checksum(*out) != checksums_[id]) {
+    return Status::Corruption(PageIdMessage("checksum mismatch", id, count));
+  }
+  return Status::Ok();
+}
+
+Status PageFile::Read(PageId id, Page* out) {
+  if (FaultHook* hook = fault_hook_.load(std::memory_order_acquire)) {
+    TSQ_RETURN_IF_ERROR(ReadThroughHook(id, hook, out));
+    CountRead();
+    return Status::Ok();
+  }
+  SimulateLatency(0);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (id >= pages_.size()) {
-      return Status::OutOfRange(PageIdMessage("read", id, pages_.size()));
+    const std::size_t count = page_count();
+    if (id >= count) {
+      return Status::OutOfRange(PageIdMessage("read", id, count));
     }
-    const Page& stored = pages_[id];
-    // Faults mutate the page *as delivered*, not the stored copy, and then
-    // go through the normal verification below: corruption and torn reads
-    // are caught by the same checksum machinery a real mismatch would hit.
-    Page delivered = stored;
-    if (fault.action == FaultDecision::Action::kCorruptBytes) {
-      delivered.bytes[fault.byte_offset % kPageSize] ^= 0xFF;
-    } else if (fault.action == FaultDecision::Action::kShortRead &&
-               fault.valid_bytes < kPageSize) {
-      std::fill(delivered.bytes.begin() + fault.valid_bytes,
-                delivered.bytes.end(), std::uint8_t{0});
-    }
-    if (Checksum(delivered) != checksums_[id]) {
-      return Status::Corruption(PageIdMessage("checksum mismatch", id,
-                                              pages_.size()));
-    }
-    *out = delivered;
+    TSQ_RETURN_IF_ERROR(VerifyOnceLocked(id));
+    *out = PageAt(id);
   }
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  PageFileMetrics::Get().reads->Increment();
+  CountRead();
   return Status::Ok();
+}
+
+Result<const Page*> PageFile::View(PageId id, PageScratch* scratch) {
+  if (FaultHook* hook = fault_hook_.load(std::memory_order_acquire)) {
+    Page* delivered = scratch->has_value() ? &**scratch : &scratch->emplace();
+    TSQ_RETURN_IF_ERROR(ReadThroughHook(id, hook, delivered));
+    CountRead();
+    return delivered;
+  }
+  SimulateLatency(0);
+  const std::size_t count = page_count();
+  if (id >= count) return Status::OutOfRange(PageIdMessage("read", id, count));
+  if (!VerifiedFlag(id).load(std::memory_order_acquire)) {
+    // First read since the last mutation. The lock makes concurrent first
+    // readers of one page compute its checksum once between them.
+    std::lock_guard<std::mutex> lock(mu_);
+    TSQ_RETURN_IF_ERROR(VerifyOnceLocked(id));
+  }
+  CountRead();
+  return &PageAt(id);
 }
 
 Status PageFile::Write(PageId id, const Page& page) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= pages_.size()) {
-    return Status::OutOfRange(PageIdMessage("write", id, pages_.size()));
+  const std::size_t count = page_count();
+  if (id >= count) {
+    return Status::OutOfRange(PageIdMessage("write", id, count));
   }
-  pages_[id] = page;
+  PageAt(id) = page;
   checksums_[id] = Checksum(page);
+  VerifiedFlag(id).store(false, std::memory_order_relaxed);
   writes_.fetch_add(1, std::memory_order_relaxed);
   PageFileMetrics::Get().writes->Increment();
   return Status::Ok();
@@ -129,8 +202,9 @@ Status PageFile::Write(PageId id, const Page& page) {
 
 void PageFile::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  pages_.clear();
+  chunks_.clear();
   checksums_.clear();
+  page_count_.store(0, std::memory_order_release);
 }
 
 namespace {
@@ -151,28 +225,21 @@ Status PageFile::SaveTo(const std::string& path, FaultHook* hook,
   AtomicFile out(path, hook);
   TSQ_RETURN_IF_ERROR(out.Open());
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t count = pages_.size();
+  const std::uint64_t count = page_count();
   TSQ_RETURN_IF_ERROR(out.Append(&kPageFileMagicV2, sizeof kPageFileMagicV2));
   TSQ_RETURN_IF_ERROR(out.Append(&count, sizeof count));
   if (!checksums_.empty()) {
     TSQ_RETURN_IF_ERROR(out.Append(checksums_.data(),
                                    checksums_.size() * sizeof(std::uint64_t)));
   }
-  // Pages go out in bounded chunks: each chunk is one crash point for the
-  // write-fault sweep, so big files do not blow up the number of injection
-  // steps while small files still get a mid-body torn state.
-  constexpr std::size_t kPagesPerChunk = 256;
-  std::vector<std::uint8_t> chunk;
-  for (std::size_t begin = 0; begin < pages_.size();
-       begin += kPagesPerChunk) {
-    const std::size_t end = std::min(begin + kPagesPerChunk, pages_.size());
-    chunk.clear();
-    chunk.reserve((end - begin) * kPageSize);
-    for (std::size_t i = begin; i < end; ++i) {
-      chunk.insert(chunk.end(), pages_[i].bytes.begin(),
-                   pages_[i].bytes.end());
-    }
-    TSQ_RETURN_IF_ERROR(out.Append(chunk.data(), chunk.size()));
+  // Pages go out one storage chunk per Append: each is one crash point for
+  // the write-fault sweep, so big files do not blow up the number of
+  // injection steps while small files still get a mid-body torn state.
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::size_t pages = std::min<std::size_t>(
+        kChunkPages, count - c * kChunkPages);
+    TSQ_RETURN_IF_ERROR(
+        out.Append(chunks_[c]->pages.get(), pages * kPageSize));
   }
   TSQ_RETURN_IF_ERROR(out.Commit());
   if (digest != nullptr) *digest = out.digest();
@@ -212,37 +279,46 @@ Status PageFile::LoadFrom(const std::string& path) {
     in.read(reinterpret_cast<char*>(&checksum), sizeof checksum);
     if (!in) return Status::Corruption("truncated page file: " + path);
   }
-  std::vector<Page> pages(count);
-  for (Page& page : pages) {
+  std::vector<std::unique_ptr<Chunk>> chunks((count + kChunkPages - 1) /
+                                             kChunkPages);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (i % kChunkPages == 0) {
+      chunks[i / kChunkPages] = NewChunk();
+    }
+    Chunk& chunk = *chunks[i / kChunkPages];
+    Page& page = chunk.pages[i % kChunkPages];
     in.read(reinterpret_cast<char*>(page.bytes.data()), kPageSize);
     if (!in) return Status::Corruption("truncated page file: " + path);
-  }
-  // Verify against the *persisted* checksums before committing anything:
-  // bytes corrupted at rest no longer re-bless themselves on load.
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    if (Checksum(pages[i]) != checksums[i]) {
+    // Verify against the *persisted* checksums before committing anything:
+    // bytes corrupted at rest no longer re-bless themselves on load. A page
+    // that passes needs no second check on its first read.
+    if (Checksum(page) != checksums[i]) {
       return Status::Corruption(
           PageIdMessage("checksum mismatch on load", static_cast<PageId>(i),
-                        pages.size()) +
+                        count) +
           " in " + path);
     }
+    chunk.verified[i % kChunkPages].store(true, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  pages_ = std::move(pages);
+  chunks_ = std::move(chunks);
   checksums_ = std::move(checksums);
+  page_count_.store(count, std::memory_order_release);
   ResetStats();
   return Status::Ok();
 }
 
 Status PageFile::CorruptForTesting(PageId id, std::size_t byte_offset) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= pages_.size()) {
-    return Status::OutOfRange(PageIdMessage("corrupt", id, pages_.size()));
+  const std::size_t count = page_count();
+  if (id >= count) {
+    return Status::OutOfRange(PageIdMessage("corrupt", id, count));
   }
   if (byte_offset >= kPageSize) {
     return Status::OutOfRange("corrupt: byte offset beyond page");
   }
-  pages_[id].bytes[byte_offset] ^= 0xFF;
+  PageAt(id).bytes[byte_offset] ^= 0xFF;
+  VerifiedFlag(id).store(false, std::memory_order_relaxed);
   return Status::Ok();
 }
 

@@ -5,7 +5,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +29,7 @@ inline constexpr PageId kInvalidPageId = 0xFFFFFFFF;
 struct Page {
   std::array<std::uint8_t, kPageSize> bytes{};
 };
+static_assert(sizeof(Page) == kPageSize);
 
 /// Counters exposed by the page file. The paper's experiments report "number
 /// of disk accesses"; `reads` is that number for whatever structure lives in
@@ -40,6 +45,11 @@ struct IoStats {
   std::uint64_t allocations = 0;
 };
 
+/// Caller-owned landing space for PageFile::View. It holds a page only once
+/// a fault hook is installed and a read has to be delivered as a copy, so
+/// the hook-free path never touches (or zeroes) 4 KiB per read.
+using PageScratch = std::optional<Page>;
+
 /// An in-memory simulation of a paged disk file.
 ///
 /// Every Read/Write is counted, which makes index traversals and record
@@ -48,12 +58,26 @@ struct IoStats {
 /// on write and verified on read, so corruption (or the failure-injection
 /// test hook) is detected rather than silently propagated.
 ///
+/// Verify once per mutation: each page also carries an atomic "verified"
+/// flag. Allocate, Write, Clear and CorruptForTesting clear it; LoadFrom
+/// sets it (it has just checked every page against the persisted
+/// checksums); the first read after a mutation runs the real checksum and
+/// sets it, so later reads of an unchanged page skip the checksum. The
+/// `storage.page_file.verifications` counter counts the read-side checksums.
+///
+/// Storage: pages live in fixed-size chunks that never move, so a pointer
+/// to a page stays valid while the file grows (and a growing file never
+/// holds two copies of itself, as a doubling vector would).
+///
 /// Thread safety: Read, Write, Allocate and the counters may be called
 /// concurrently — page content is guarded by a mutex and the counters are
-/// atomic. The simulated read-delay spin happens on the calling thread
-/// *outside* the lock, so N concurrent readers pay their latencies in
-/// parallel (the model of N independent disks the parallel executor
-/// assumes). SaveTo/LoadFrom still require external exclusion from writers.
+/// atomic. View takes no file-wide mutex on its hot path; its caller must
+/// keep Allocate, Write, Clear and LoadFrom off the file while it reads or
+/// holds a view (the engine's snapshot read pin does exactly that). The
+/// simulated read-delay spin happens on the calling thread *outside* the
+/// lock, so N concurrent readers pay their latencies in parallel (the model
+/// of N independent disks the parallel executor assumes). SaveTo/LoadFrom
+/// still require external exclusion from writers.
 class PageFile {
  public:
   PageFile() = default;
@@ -78,13 +102,26 @@ class PageFile {
 
   /// Number of allocated pages.
   std::size_t page_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pages_.size();
+    return page_count_.load(std::memory_order_acquire);
   }
 
-  /// Reads page `id` into `*out`. Fails with OutOfRange for an unknown id and
-  /// Corruption when the stored checksum does not match the page content.
+  /// Reads page `id` into `*out`: the locked copy, safe against concurrent
+  /// writers (the buffer pool's miss path and RecordStore::Append use it).
+  /// Fails with OutOfRange for an unknown id and Corruption when the stored
+  /// checksum does not match the page content.
   Status Read(PageId id, Page* out);
+
+  /// Zero-copy read for query-side readers: returns a view of page `id`,
+  /// verified and counted exactly like Read. Without a fault hook the view
+  /// points at the stored page and no file-wide mutex is taken once the
+  /// page is verified. The pointer stays valid until Clear or LoadFrom
+  /// (chunks never move, so Allocate does not invalidate it), but the caller
+  /// must keep Allocate, Write, Clear and LoadFrom off this file while it
+  /// calls View or reads a view. With a fault hook installed the page is
+  /// delivered the way Read delivers it (hook, mutated copy, real checksum)
+  /// into `*scratch`, and the view points there, valid until `*scratch` is
+  /// reused.
+  Result<const Page*> View(PageId id, PageScratch* scratch);
 
   /// Writes `page` to `id` and updates its checksum.
   Status Write(PageId id, const Page& page);
@@ -112,15 +149,18 @@ class PageFile {
   void Clear();
 
   /// Test hook: flips a byte in the stored page without updating the
-  /// checksum, so the next Read reports corruption.
+  /// checksum (and clears its verified flag), so the next Read or View
+  /// reports corruption.
   Status CorruptForTesting(PageId id, std::size_t byte_offset);
 
   /// Installs (or, with nullptr, removes) a fault-injection hook consulted
-  /// at the top of every Read. kFail decisions return the hook's status
-  /// without counting the read; kCorruptBytes/kShortRead mutate the page as
-  /// delivered and let the normal checksum verification detect the damage,
-  /// so the stored copy stays intact. The caller must keep the hook alive
-  /// until it is uninstalled and in-flight reads have drained.
+  /// at the top of every Read and View. kFail decisions return the hook's
+  /// status without counting the read; kCorruptBytes/kShortRead mutate the
+  /// page as delivered and let the real checksum detect the damage, so the
+  /// stored copy stays intact. While a hook is installed every read is
+  /// delivered as a copy and checksummed, verified flag or not. The caller
+  /// must keep the hook alive until it is uninstalled and in-flight reads
+  /// have drained.
   void SetFaultHook(FaultHook* hook) {
     fault_hook_.store(hook, std::memory_order_release);
   }
@@ -140,7 +180,8 @@ class PageFile {
                 FileDigest* digest = nullptr) const;
 
   /// Replaces this file's contents with the pages stored at `path` after
-  /// verifying every page against its *persisted* checksum (counters reset).
+  /// verifying every page against its *persisted* checksum (counters reset;
+  /// every page starts out verified).
   /// Returns Corruption — without modifying this file — when a checksum does
   /// not match, when the file is truncated or its header page count is
   /// inconsistent with its size (validated before any allocation, so a
@@ -149,11 +190,42 @@ class PageFile {
   Status LoadFrom(const std::string& path);
 
  private:
+  /// Pages per storage chunk (1 MiB of page bytes).
+  static constexpr std::size_t kChunkPages = 256;
+  struct Chunk {
+    // The pages come from calloc: zero without being written, so the
+    // unallocated tail of a file's last chunk costs no resident memory.
+    struct Free {
+      void operator()(Page* pages) const { std::free(pages); }
+    };
+    std::unique_ptr<Page[], Free> pages;
+    std::array<std::atomic<bool>, kChunkPages> verified{};
+  };
+  static std::unique_ptr<Chunk> NewChunk();
+
   static std::uint64_t Checksum(const Page& page);
 
-  mutable std::mutex mu_;  // guards pages_ and checksums_
-  std::vector<Page> pages_;
+  Page& PageAt(PageId id) {
+    return chunks_[id / kChunkPages]->pages[id % kChunkPages];
+  }
+  std::atomic<bool>& VerifiedFlag(PageId id) {
+    return chunks_[id / kChunkPages]->verified[id % kChunkPages];
+  }
+  // Spins for the configured read delay plus `extra_nanos`.
+  void SimulateLatency(std::uint64_t extra_nanos) const;
+  // Checksums page `id` unless its verified flag is set; sets the flag on a
+  // match. Requires mu_ and a valid id.
+  Status VerifyOnceLocked(PageId id);
+  // The read under a fault hook: consult the hook, copy the stored page
+  // into `*out`, apply the injected damage, verify with the real checksum.
+  Status ReadThroughHook(PageId id, FaultHook* hook, Page* out);
+  // Charges one successful read to the counters.
+  void CountRead();
+
+  mutable std::mutex mu_;  // guards chunk growth, page bytes and checksums_
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::uint64_t> checksums_;
+  std::atomic<std::size_t> page_count_{0};
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> allocations_{0};

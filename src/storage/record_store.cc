@@ -1,5 +1,6 @@
 #include "storage/record_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -49,87 +50,95 @@ Result<RecordId> RecordStore::Append(std::span<const std::uint8_t> payload) {
   return id;
 }
 
-Result<std::vector<std::uint8_t>> RecordStore::Get(
-    RecordId id, std::uint64_t* pages_read) const {
-  const auto count_page = [pages_read] {
-    if (pages_read != nullptr) ++*pages_read;
-  };
-  Page page;
-  TSQ_RETURN_IF_ERROR(file_->Read(id.page, &page));
-  count_page();
-  if (id.offset + kHeaderSize > kPageSize) {
+Result<std::uint32_t> RecordStore::ViewHeader(
+    RecordId id, PageScratch* scratch, const Page** page,
+    std::uint64_t* pages_read) const {
+  const Result<const Page*> view = file_->View(id.page, scratch);
+  TSQ_RETURN_IF_ERROR(view.status());
+  if (pages_read != nullptr) ++*pages_read;
+  if (id.offset > kPageSize - kHeaderSize) {
     return Status::OutOfRange("record offset beyond page");
   }
-  std::uint32_t total = 0;
-  std::memcpy(&total, page.bytes.data() + id.offset, kHeaderSize);
+  std::uint32_t length = 0;
+  std::memcpy(&length, (*view)->bytes.data() + id.offset, kHeaderSize);
+  // The header is trusted with an allocation only once it fits the file: a
+  // corrupted length claiming gigabytes is Corruption, not a giant
+  // zero-filled buffer.
+  const std::uint64_t payload_start =
+      std::uint64_t{id.page} * kPageSize + id.offset + kHeaderSize;
+  const std::uint64_t file_bytes =
+      static_cast<std::uint64_t>(file_->page_count()) * kPageSize;
+  if (length > file_bytes - payload_start) {
+    return Status::Corruption("record length runs past the end of the file");
+  }
+  *page = *view;
+  return length;
+}
 
-  std::vector<std::uint8_t> payload(total);
-  std::size_t read = 0;
-  PageId page_id = id.page;
-  std::size_t cursor = id.offset + kHeaderSize;
-  while (read < total) {
-    if (cursor >= kPageSize) {
+Status RecordStore::CopyPayload(PageId page_id, std::size_t cursor,
+                                const Page* page, std::size_t length,
+                                std::uint8_t* out, PageScratch* scratch,
+                                std::uint64_t* pages_read) const {
+  for (std::size_t copied = 0; copied < length;) {
+    if (cursor == kPageSize) {
+      // Records continue on the next (consecutively allocated) page.
       ++page_id;
       cursor = 0;
-      TSQ_RETURN_IF_ERROR(file_->Read(page_id, &page));
-      count_page();
+      page = nullptr;
     }
-    const std::size_t chunk = std::min(kPageSize - cursor,
-                                       static_cast<std::size_t>(total) - read);
-    std::memcpy(payload.data() + read, page.bytes.data() + cursor, chunk);
-    read += chunk;
+    if (page == nullptr) {
+      const Result<const Page*> view = file_->View(page_id, scratch);
+      TSQ_RETURN_IF_ERROR(view.status());
+      if (pages_read != nullptr) ++*pages_read;
+      page = *view;
+    }
+    const std::size_t chunk = std::min(kPageSize - cursor, length - copied);
+    std::memcpy(out + copied, page->bytes.data() + cursor, chunk);
+    copied += chunk;
     cursor += chunk;
   }
+  return Status::Ok();
+}
+
+Result<std::vector<std::uint8_t>> RecordStore::Get(
+    RecordId id, std::uint64_t* pages_read) const {
+  std::vector<std::uint8_t> payload;
+  TSQ_RETURN_IF_ERROR(ReadRecord(
+      id,
+      [&payload](std::size_t length) -> Result<std::uint8_t*> {
+        payload.resize(length);
+        return payload.data();
+      },
+      pages_read));
   return payload;
 }
 
 Result<std::vector<std::uint8_t>> RecordStore::GetRange(
     RecordId id, std::size_t byte_offset, std::size_t length) const {
-  Page page;
-  TSQ_RETURN_IF_ERROR(file_->Read(id.page, &page));
-  if (id.offset + kHeaderSize > kPageSize) {
-    return Status::OutOfRange("record offset beyond page");
-  }
-  std::uint32_t total = 0;
-  std::memcpy(&total, page.bytes.data() + id.offset, kHeaderSize);
-  if (byte_offset + length > total) {
+  PageScratch scratch;
+  const Page* header_page = nullptr;
+  const Result<std::uint32_t> total =
+      ViewHeader(id, &scratch, &header_page, nullptr);
+  TSQ_RETURN_IF_ERROR(total.status());
+  if (byte_offset + length > *total) {
     return Status::OutOfRange("range exceeds record payload");
   }
-
   // Payload layout: the first fragment fills the header page, the rest
-  // continues on consecutive pages from byte 0.
+  // continues on consecutive pages from byte 0, so only the pages the range
+  // spans are read.
   const std::size_t first_fragment = kPageSize - (id.offset + kHeaderSize);
   std::vector<std::uint8_t> out(length);
-  std::size_t produced = 0;
-  std::size_t cursor_offset = byte_offset;
-  PageId page_id;
-  std::size_t cursor;
-  bool page_loaded;
-  if (cursor_offset < first_fragment) {
-    page_id = id.page;
-    cursor = id.offset + kHeaderSize + cursor_offset;
-    page_loaded = true;  // header page already in hand
+  if (byte_offset < first_fragment) {
+    TSQ_RETURN_IF_ERROR(CopyPayload(id.page,
+                                    id.offset + kHeaderSize + byte_offset,
+                                    header_page, length, out.data(), &scratch,
+                                    nullptr));
   } else {
-    const std::size_t rest = cursor_offset - first_fragment;
-    page_id = id.page + 1 + static_cast<PageId>(rest / kPageSize);
-    cursor = rest % kPageSize;
-    page_loaded = false;
-  }
-  while (produced < length) {
-    if (!page_loaded) {
-      TSQ_RETURN_IF_ERROR(file_->Read(page_id, &page));
-      page_loaded = true;
-    }
-    const std::size_t chunk =
-        std::min(kPageSize - cursor, length - produced);
-    std::memcpy(out.data() + produced, page.bytes.data() + cursor, chunk);
-    produced += chunk;
-    cursor += chunk;
-    if (cursor >= kPageSize) {
-      ++page_id;
-      cursor = 0;
-      page_loaded = false;
-    }
+    const std::size_t rest = byte_offset - first_fragment;
+    TSQ_RETURN_IF_ERROR(
+        CopyPayload(id.page + 1 + static_cast<PageId>(rest / kPageSize),
+                    rest % kPageSize, nullptr, length, out.data(), &scratch,
+                    nullptr));
   }
   return out;
 }
@@ -152,13 +161,17 @@ Result<RecordId> RecordStore::AppendSeries(const ts::Series& series) {
 
 Result<ts::Series> RecordStore::GetSeries(RecordId id,
                                           std::uint64_t* pages_read) const {
-  Result<std::vector<std::uint8_t>> payload = Get(id, pages_read);
-  if (!payload.ok()) return payload.status();
-  if (payload->size() % sizeof(double) != 0) {
-    return Status::Corruption("record size is not a multiple of 8");
-  }
-  ts::Series series(payload->size() / sizeof(double));
-  std::memcpy(series.data(), payload->data(), payload->size());
+  ts::Series series;
+  TSQ_RETURN_IF_ERROR(ReadRecord(
+      id,
+      [&series](std::size_t length) -> Result<std::uint8_t*> {
+        if (length % sizeof(double) != 0) {
+          return Status::Corruption("record size is not a multiple of 8");
+        }
+        series.resize(length / sizeof(double));
+        return reinterpret_cast<std::uint8_t*>(series.data());
+      },
+      pages_read));
   return series;
 }
 

@@ -43,10 +43,32 @@ class RecordStore {
   /// Appends a record; returns its id.
   Result<RecordId> Append(std::span<const std::uint8_t> payload);
 
-  /// Fetches a record by id (reads, and counts, every page it spans). When
-  /// `pages_read` is non-null it is *incremented* by the number of page
-  /// reads this call issued — the per-task accounting the parallel query
-  /// executor uses instead of diffing the file's global counter.
+  /// The one decode routine: copies record `id`'s payload into a caller
+  /// buffer, viewing (and counting) every page it spans through
+  /// PageFile::View, so the same queries-pin-writes-lock contract applies.
+  /// The header's length is first bounded by the bytes the file holds past
+  /// the header (Corruption otherwise), then handed to `sink(length)`, which
+  /// returns a `Result<std::uint8_t*>`: where to put that many bytes, or an
+  /// error rejecting the length — so nothing is allocated or copied for a
+  /// length the caller cannot accept. When `pages_read` is non-null it is
+  /// *incremented* by the number of page reads this call issued — the
+  /// per-task accounting the parallel query executor uses instead of
+  /// diffing the file's global counter.
+  template <typename Sink>
+  Status ReadRecord(RecordId id, Sink&& sink,
+                    std::uint64_t* pages_read = nullptr) const {
+    PageScratch scratch;
+    const Page* page = nullptr;
+    const Result<std::uint32_t> length =
+        ViewHeader(id, &scratch, &page, pages_read);
+    TSQ_RETURN_IF_ERROR(length.status());
+    const Result<std::uint8_t*> dest = sink(std::size_t{*length});
+    TSQ_RETURN_IF_ERROR(dest.status());
+    return CopyPayload(id.page, id.offset + kHeaderSize, page, *length, *dest,
+                       &scratch, pages_read);
+  }
+
+  /// Fetches a record by id into a fresh buffer (see ReadRecord).
   Result<std::vector<std::uint8_t>> Get(RecordId id,
                                         std::uint64_t* pages_read =
                                             nullptr) const;
@@ -85,6 +107,19 @@ class RecordStore {
 
  private:
   static constexpr std::uint32_t kHeaderSize = sizeof(std::uint32_t);
+
+  // Views the page holding record `id`'s header (into `*page`, counted) and
+  // returns the payload length the header declares, bounded by the bytes
+  // the file holds past the header.
+  Result<std::uint32_t> ViewHeader(RecordId id, PageScratch* scratch,
+                                   const Page** page,
+                                   std::uint64_t* pages_read) const;
+  // Copies `length` payload bytes that start at byte `cursor` of page
+  // `page_id` and continue from byte 0 of the following pages. `page` is a
+  // view of `page_id` already in hand, or nullptr to view it first.
+  Status CopyPayload(PageId page_id, std::size_t cursor, const Page* page,
+                     std::size_t length, std::uint8_t* out,
+                     PageScratch* scratch, std::uint64_t* pages_read) const;
 
   PageFile* file_;
   PageId current_page_ = kInvalidPageId;

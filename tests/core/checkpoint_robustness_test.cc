@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "storage/atomic_file.h"
+#include "storage/page_file.h"
 #include "test_util.h"
 #include "testing/fault_policy.h"
 #include "transform/spectral_transform.h"
@@ -107,16 +108,22 @@ class CheckpointRobustnessTest : public ::testing::Test {
     std::string text;
     for (const std::string& line : lines) text += line + "\n";
     WriteAllBytes(EpochFile(".meta"), text);
+    FixManifestEntry("meta", EpochFile(".meta"));
+  }
 
-    const auto digest = storage::DigestFile(EpochFile(".meta"));
+  // Points the manifest's `name` entry at the current bytes of `path`, so a
+  // damaged file passes the digest check and reaches the validation behind
+  // it.
+  void FixManifestEntry(const std::string& name, const std::string& path) {
+    const auto digest = storage::DigestFile(path);
     ASSERT_TRUE(digest.ok());
     std::string manifest;
     std::istringstream in(ReadAllBytes(ManifestFile()));
     std::string line;
     while (std::getline(in, line)) {
-      if (line.rfind("meta ", 0) == 0) {
+      if (line.rfind(name + " ", 0) == 0) {
         std::ostringstream out;
-        out << "meta " << digest->size << " " << digest->fnv1a;
+        out << name << " " << digest->size << " " << digest->fnv1a;
         line = out.str();
       }
       manifest += line + "\n";
@@ -264,24 +271,31 @@ TEST_F(CheckpointRobustnessTest, HugePageCountIsCorruptionNotBadAlloc) {
   const std::uint64_t huge = std::uint64_t{1} << 60;
   std::memcpy(bytes.data() + 8, &huge, sizeof huge);
   WriteAllBytes(EpochFile(".records"), bytes);
-  const auto digest = storage::DigestFile(EpochFile(".records"));
-  ASSERT_TRUE(digest.ok());
-  std::string manifest;
-  std::istringstream in(ReadAllBytes(ManifestFile()));
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("records ", 0) == 0) {
-      std::ostringstream out;
-      out << "records " << digest->size << " " << digest->fnv1a;
-      line = out.str();
-    }
-    manifest += line + "\n";
-  }
-  WriteAllBytes(ManifestFile(), manifest);
+  FixManifestEntry("records", EpochFile(".records"));
 
   const auto loaded = SimilarityEngine::LoadFrom(prefix_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// A record header claiming ~4 GiB, behind a recomputed page checksum and a
+// fixed-up manifest, must be bounded by the record file's size before
+// anything is allocated for it: Corruption, not a 4 GiB zero-filled buffer.
+TEST_F(CheckpointRobustnessTest, HugeRecordLengthIsCorruptionBeforeAllocating) {
+  storage::PageFile records;
+  ASSERT_TRUE(records.LoadFrom(EpochFile(".records")).ok());
+  storage::Page page;
+  ASSERT_TRUE(records.Read(0, &page).ok());
+  const std::uint32_t huge = 0xFFFFFFF0u;
+  std::memcpy(page.bytes.data(), &huge, sizeof huge);  // first record
+  ASSERT_TRUE(records.Write(0, page).ok());            // fresh checksum
+  ASSERT_TRUE(records.SaveTo(EpochFile(".records")).ok());
+  FixManifestEntry("records", EpochFile(".records"));
+
+  const auto loaded = SimilarityEngine::LoadFrom(prefix_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << loaded.status().ToString();
 }
 
 TEST_F(CheckpointRobustnessTest, CrashDebrisIsSweptAndCountedOnLoad) {

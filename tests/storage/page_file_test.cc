@@ -1,16 +1,38 @@
 #include "storage/page_file.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/dataset.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "rstar/rstar_tree.h"
 #include "testing/fault_policy.h"
+#include "ts/generate.h"
 
 namespace tsq::storage {
 namespace {
+
+// Read-side checksums computed so far, summed over every PageFile.
+std::uint64_t Verifications() {
+  return obs::MetricsRegistry::Global()
+      .counter("storage.page_file.verifications")
+      ->value();
+}
+
+Page PatternPage(std::uint8_t seed) {
+  Page page;
+  for (std::size_t i = 0; i < kPageSize; ++i) {
+    page.bytes[i] = static_cast<std::uint8_t>(seed + i * 13);
+  }
+  return page;
+}
 
 TEST(PageFileTest, AllocateReturnsSequentialIds) {
   PageFile file;
@@ -172,6 +194,34 @@ TEST_F(PageFilePersistenceTest, RejectsGarbageAndTruncation) {
             StatusCode::kIoError);
 }
 
+TEST_F(PageFilePersistenceTest, LoadedPagesSpanChunksAndStartVerified) {
+  // More pages than one storage chunk holds, so save and load both cross a
+  // chunk boundary.
+  constexpr std::size_t kPages = 300;
+  PageFile file;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(
+        file.Write(file.Allocate(), PatternPage(static_cast<std::uint8_t>(p)))
+            .ok());
+  }
+  ASSERT_TRUE(file.SaveTo(path_).ok());
+  PageFile loaded;
+  ASSERT_TRUE(loaded.LoadFrom(path_).ok());
+  ASSERT_EQ(loaded.page_count(), kPages);
+  // LoadFrom checked every page against its persisted checksum, so no read
+  // checks one again.
+  const std::uint64_t before = Verifications();
+  PageScratch scratch;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    const Result<const Page*> view =
+        loaded.View(static_cast<PageId>(p), &scratch);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ((*view)->bytes,
+              PatternPage(static_cast<std::uint8_t>(p)).bytes);
+  }
+  EXPECT_EQ(Verifications(), before);
+}
+
 TEST(PageFileTest, FailedIosLeaveCountersUntouched) {
   // Convention: only successful I/Os count. Neither a failed Read
   // (OutOfRange, Corruption) nor a failed Write (OutOfRange) moves the
@@ -319,6 +369,199 @@ TEST_F(PageFilePersistenceTest, SaveLeavesOldFileIntactOnInjectedCrash) {
     std::error_code ec;
     std::filesystem::remove(path_ + ".tmp", ec);  // crash debris
   }
+}
+
+TEST(PageFileTest, ViewReturnsStoredBytesAndCountsLikeRead) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  const Page page = PatternPage(3);
+  ASSERT_TRUE(file.Write(id, page).ok());
+  PageScratch scratch;
+  const Result<const Page*> view = file.View(id, &scratch);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)->bytes, page.bytes);
+  // Without a fault hook the view is the stored page, not a copy.
+  EXPECT_FALSE(scratch.has_value());
+  EXPECT_EQ(file.stats().reads, 1u);
+  EXPECT_EQ(file.View(5, &scratch).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file.stats().reads, 1u);
+}
+
+TEST(PageFileTest, ViewUnderHookDeliversThroughScratch) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  const Page page = PatternPage(4);
+  ASSERT_TRUE(file.Write(id, page).ok());
+  tsq::testing::FaultPolicy pass_through;
+  file.SetFaultHook(&pass_through);
+  PageScratch scratch;
+  const Result<const Page*> view = file.View(id, &scratch);
+  file.SetFaultHook(nullptr);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(scratch.has_value());
+  EXPECT_EQ(*view, &*scratch);
+  EXPECT_EQ((*view)->bytes, page.bytes);
+  EXPECT_EQ(pass_through.reads_seen(), 1u);
+  EXPECT_EQ(file.stats().reads, 1u);
+}
+
+TEST(PageFileTest, VerifiedPageCorruptedLaterFailsViewAndRead) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  ASSERT_TRUE(file.Write(id, PatternPage(5)).ok());
+  PageScratch scratch;
+  Page copy;
+  ASSERT_TRUE(file.View(id, &scratch).ok());
+  ASSERT_TRUE(file.Read(id, &copy).ok());
+  ASSERT_TRUE(file.CorruptForTesting(id, 77).ok());
+  EXPECT_EQ(file.View(id, &scratch).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(file.Read(id, &copy).code(), StatusCode::kCorruption);
+  // Still caught on every later read, not only the first.
+  EXPECT_EQ(file.View(id, &scratch).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(file.stats().reads, 2u);
+}
+
+TEST(PageFileTest, UnchangedPageIsVerifiedOnce) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  PageScratch scratch;
+  Page copy;
+  const std::uint64_t before = Verifications();
+  ASSERT_TRUE(file.View(id, &scratch).ok());
+  ASSERT_TRUE(file.Read(id, &copy).ok());
+  EXPECT_EQ(Verifications() - before, 1u);
+  ASSERT_TRUE(file.CorruptForTesting(id, 0).ok());
+  EXPECT_FALSE(file.Read(id, &copy).ok());
+  EXPECT_EQ(Verifications() - before, 2u);
+}
+
+TEST(PageFileTest, WriteRearmsVerification) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  PageScratch scratch;
+  ASSERT_TRUE(file.Write(id, PatternPage(6)).ok());
+  const std::uint64_t before = Verifications();
+  ASSERT_TRUE(file.View(id, &scratch).ok());
+  ASSERT_TRUE(file.View(id, &scratch).ok());
+  EXPECT_EQ(Verifications() - before, 1u);
+  const Page rewritten = PatternPage(7);
+  ASSERT_TRUE(file.Write(id, rewritten).ok());
+  const Result<const Page*> view = file.View(id, &scratch);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)->bytes, rewritten.bytes);
+  EXPECT_EQ(Verifications() - before, 2u);
+}
+
+TEST(PageFileTest, ViewSurvivesLaterAllocations) {
+  PageFile file;
+  const PageId id = file.Allocate();
+  const Page page = PatternPage(8);
+  ASSERT_TRUE(file.Write(id, page).ok());
+  PageScratch scratch;
+  const Result<const Page*> view = file.View(id, &scratch);
+  ASSERT_TRUE(view.ok());
+  for (int i = 0; i < 10000; ++i) file.Allocate();
+  // Pages live in chunks that never move: the old view is still the page.
+  EXPECT_EQ((*view)->bytes, page.bytes);
+  const Result<const Page*> again = file.View(id, &scratch);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *view);
+}
+
+TEST(PageFileTest, ConcurrentFirstViewsVerifyEachPageOnce) {
+  constexpr std::size_t kPages = 64;
+  constexpr int kThreads = 4;
+  PageFile file;
+  std::vector<Page> expected;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    expected.push_back(PatternPage(static_cast<std::uint8_t>(p)));
+    ASSERT_TRUE(file.Write(file.Allocate(), expected.back()).ok());
+  }
+  const std::uint64_t before = Verifications();
+  std::atomic<int> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      PageScratch scratch;
+      for (std::size_t p = 0; p < kPages; ++p) {
+        const Result<const Page*> view =
+            file.View(static_cast<PageId>(p), &scratch);
+        if (!view.ok() || (*view)->bytes != expected[p].bytes) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(Verifications() - before, kPages);
+  EXPECT_EQ(file.stats().reads, kPages * kThreads);
+}
+
+// The two fault kinds that damage a delivered page, each injected on the
+// first read the hook sees.
+std::vector<tsq::testing::FaultPolicyConfig> DamagingFaults() {
+  tsq::testing::FaultPolicyConfig corrupt;
+  corrupt.corrupt_nth_read = 1;
+  tsq::testing::FaultPolicyConfig torn;
+  torn.short_nth_read = 1;
+  torn.short_read_bytes = 16;
+  return {corrupt, torn};
+}
+
+TEST(PageFileTest, HookDamageOnVerifiedRecordPageFailsFetchSpectrum) {
+  ts::RandomWalkConfig config;
+  config.num_series = 8;
+  config.length = 64;
+  core::Dataset dataset(ts::GenerateRandomWalks(config),
+                        transform::FeatureLayout{});
+  ASSERT_TRUE(dataset.FetchSpectrum(0).ok());  // verifies the page
+  for (const auto& faults : DamagingFaults()) {
+    tsq::testing::FaultPolicy policy(faults);
+    dataset.SetReadFaultHook(&policy);
+    EXPECT_EQ(dataset.FetchSpectrum(0).status().code(),
+              StatusCode::kCorruption)
+        << policy.Describe();
+    dataset.SetReadFaultHook(nullptr);
+    EXPECT_EQ(policy.faults_injected(), 1u);
+  }
+  // The damage was to the delivered copies only.
+  const auto healthy = dataset.FetchSpectrum(0);
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_EQ(*healthy, dataset.spectrum(0));
+}
+
+TEST(PageFileTest, HookDamageOnVerifiedNodePageFailsSearch) {
+  PageFile file;
+  rstar::TreeOptions options;
+  options.capacity_override = 4;
+  rstar::RStarTree tree(&file, 2, options);
+  Rng rng(31);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    const double x = rng.Uniform(-100.0, 100.0);
+    const double y = rng.Uniform(-100.0, 100.0);
+    ASSERT_TRUE(tree.Insert(rstar::Rect::FromPoint({x, y}), i).ok());
+  }
+  const rstar::Rect everything({-200.0, -200.0}, {200.0, 200.0});
+  std::vector<rstar::Entry> results;
+  ASSERT_TRUE(tree.WindowQuery(everything, &results).ok());  // verifies
+  ASSERT_EQ(results.size(), 50u);
+  for (const auto& faults : DamagingFaults()) {
+    tsq::testing::FaultPolicy policy(faults);
+    file.SetFaultHook(&policy);
+    results.clear();
+    EXPECT_EQ(tree.WindowQuery(everything, &results).code(),
+              StatusCode::kCorruption)
+        << policy.Describe();
+    file.SetFaultHook(nullptr);
+    EXPECT_EQ(policy.faults_injected(), 1u);
+  }
+  results.clear();
+  ASSERT_TRUE(tree.WindowQuery(everything, &results).ok());
+  EXPECT_EQ(results.size(), 50u);
 }
 
 TEST(PageFileTest, CorruptForTestingValidatesArguments) {

@@ -1,5 +1,7 @@
 #include "storage/record_store.h"
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "gtest/gtest.h"
 
@@ -180,6 +182,68 @@ TEST(RecordStoreTest, GetRejectsBogusOffset) {
   ASSERT_TRUE(store.Append(std::vector<std::uint8_t>{1, 2, 3}).ok());
   EXPECT_EQ(store.Get(RecordId{0, kPageSize - 1}).status().code(),
             StatusCode::kOutOfRange);
+}
+
+// Overwrites the length header of the record at the start of page 0.
+void SetFirstHeader(PageFile* file, std::uint32_t length) {
+  Page page;
+  ASSERT_TRUE(file->Read(0, &page).ok());
+  std::memcpy(page.bytes.data(), &length, sizeof length);
+  ASSERT_TRUE(file->Write(0, page).ok());
+}
+
+TEST(RecordStoreTest, HeaderLengthIsBoundedByTheFile) {
+  PageFile file;
+  RecordStore store(&file);
+  const auto id = store.Append(std::vector<std::uint8_t>{1, 2, 3});
+  ASSERT_TRUE(id.ok());
+  ASSERT_EQ(file.page_count(), 1u);
+  // A length that reaches exactly the end of the file decodes...
+  SetFirstHeader(&file, kPageSize - 4);
+  const auto fits = store.Get(*id);
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ(fits->size(), kPageSize - 4);
+  // ...one byte more is Corruption, and so is a header claiming ~4 GiB,
+  // rejected before anything is allocated for it.
+  SetFirstHeader(&file, kPageSize - 3);
+  EXPECT_EQ(store.Get(*id).status().code(), StatusCode::kCorruption);
+  SetFirstHeader(&file, 0xFFFFFFF0u);
+  EXPECT_EQ(store.Get(*id).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.GetSeries(*id).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.GetRange(*id, 0, 1).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(RecordStoreTest, ReadRecordSinkSeesLengthBeforeAnyCopy) {
+  PageFile file;
+  RecordStore store(&file);
+  std::vector<std::uint8_t> payload(2 * kPageSize, 9);
+  const auto id = store.Append(payload);
+  ASSERT_TRUE(id.ok());
+  file.ResetStats();
+  std::size_t seen = 0;
+  const Status rejected = store.ReadRecord(
+      *id, [&seen](std::size_t length) -> Result<std::uint8_t*> {
+        seen = length;
+        return Status::Corruption("length rejected by the caller");
+      });
+  EXPECT_EQ(rejected.code(), StatusCode::kCorruption);
+  EXPECT_EQ(seen, payload.size());
+  // Only the header page was read.
+  EXPECT_EQ(file.stats().reads, 1u);
+
+  std::vector<std::uint8_t> out(payload.size());
+  std::uint64_t pages_read = 0;
+  ASSERT_TRUE(store
+                  .ReadRecord(
+                      *id,
+                      [&out](std::size_t) -> Result<std::uint8_t*> {
+                        return out.data();
+                      },
+                      &pages_read)
+                  .ok());
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(pages_read, 3u);
 }
 
 }  // namespace
